@@ -35,12 +35,9 @@ fn bench_static_full_run(c: &mut Criterion) {
     let pf = Platform::sample(20, &SpeedDistribution::paper_default(), &mut rng_for(2, 0));
     c.bench_function("static_outer_full_run_n100", |b| {
         b.iter(|| {
-            let (r, _) = hetsched_sim::run(
-                &pf,
-                SpeedModel::Fixed,
-                StaticOuter::new(100, &pf),
-                &mut rng_for(3, 0),
-            );
+            let (r, _) =
+                hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, StaticOuter::new(100, &pf))
+                    .run(&mut rng_for(3, 0));
             black_box(r.total_blocks)
         })
     });

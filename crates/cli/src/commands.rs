@@ -24,9 +24,13 @@ fn wfmt(e: std::fmt::Error) -> String {
 /// Top-level dispatch.
 pub fn run(argv: Vec<String>) -> Result<String, String> {
     let args = Args::parse(argv)?;
+    let help = args.switch("help");
     let Some(cmd) = args.positionals().first() else {
-        return Err(usage());
+        return if help { Ok(usage()) } else { Err(usage()) };
     };
+    if help {
+        return command_usage(cmd);
+    }
     match cmd.as_str() {
         "simulate" => simulate_cmd(&args),
         "analyze" => analyze_cmd(&args),
@@ -45,6 +49,26 @@ pub fn run(argv: Vec<String>) -> Result<String, String> {
         "help" | "--help" | "-h" => Ok(usage()),
         other => Err(format!("unknown command {other:?}\n\n{}", usage())),
     }
+}
+
+/// The usage section of one command (`hetsched CMD --help`).
+fn command_usage(cmd: &str) -> Result<String, String> {
+    let text = usage();
+    let mut lines = text.lines().skip_while(|l| {
+        !l.strip_prefix("  ")
+            .and_then(|rest| rest.strip_prefix(cmd))
+            .is_some_and(|rest| rest.starts_with(' '))
+    });
+    let head = lines
+        .next()
+        .ok_or_else(|| format!("unknown command {cmd:?}\n\n{text}"))?;
+    let mut out = format!("USAGE: hetsched {cmd} [flags]\n\n{head}\n");
+    // Continuation lines are indented past the command column.
+    for line in lines.take_while(|l| l.starts_with("   ")) {
+        out.push_str(line);
+        out.push('\n');
+    }
+    Ok(out)
 }
 
 /// Help text.

@@ -23,29 +23,31 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+const SUBCOMMANDS: [&str; 15] = [
+    "simulate",
+    "analyze",
+    "partition",
+    "dag",
+    "figures",
+    "serve",
+    "submit",
+    "status",
+    "logs",
+    "drain",
+    "query",
+    "stats",
+    "ingest",
+    "compact",
+    "help",
+];
+
 #[test]
 fn help_lists_every_subcommand_and_flag_group() {
     let out = hetsched(&["help"]);
     assert!(out.status.success(), "help must exit 0: {}", stderr(&out));
     let text = stdout(&out);
 
-    for cmd in [
-        "simulate",
-        "analyze",
-        "partition",
-        "dag",
-        "figures",
-        "serve",
-        "submit",
-        "status",
-        "logs",
-        "drain",
-        "query",
-        "stats",
-        "ingest",
-        "compact",
-        "help",
-    ] {
+    for cmd in SUBCOMMANDS {
         assert!(text.contains(cmd), "help must list `{cmd}`:\n{text}");
     }
     for flag in [
@@ -82,6 +84,40 @@ fn help_lists_every_subcommand_and_flag_group() {
     ] {
         assert!(text.contains(flag), "help must list `{flag}`:\n{text}");
     }
+}
+
+#[test]
+fn every_subcommand_answers_help() {
+    let out = hetsched(&["--help"]);
+    assert!(out.status.success(), "--help must exit 0: {}", stderr(&out));
+    assert!(stdout(&out).contains("COMMANDS"), "{}", stdout(&out));
+    assert!(stderr(&out).is_empty(), "{}", stderr(&out));
+    for cmd in SUBCOMMANDS {
+        let out = hetsched(&[cmd, "--help"]);
+        let text = stdout(&out);
+        assert!(
+            out.status.success(),
+            "`{cmd} --help` must exit 0: {}",
+            stderr(&out)
+        );
+        assert!(stderr(&out).is_empty(), "`{cmd} --help`: {}", stderr(&out));
+        let section = text
+            .lines()
+            .find(|l| l.starts_with(&format!("  {cmd} ")))
+            .unwrap_or_else(|| panic!("`{cmd} --help` lacks its usage line:\n{text}"));
+        assert!(
+            text.starts_with(&format!("USAGE: hetsched {cmd}")),
+            "{text}"
+        );
+        assert!(!section.is_empty());
+        assert!(
+            !text.contains("COMMANDS"),
+            "`{cmd} --help` is one section:\n{text}"
+        );
+    }
+    let simulate = stdout(&hetsched(&["simulate", "--help"]));
+    assert!(simulate.contains("--trace-out"), "{simulate}");
+    assert!(!simulate.contains("--group-by"), "{simulate}");
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! * [`config`] — declarative experiment descriptions
 //!   ([`ExperimentConfig`]: kernel, strategy, platform recipe);
 //! * [`runner`] — seeded single runs ([`run_once`]) and parallel
-//!   multi-trial campaigns ([`run_trials`], crossbeam-scoped threads, one
+//!   multi-trial campaigns ([`run_trials`], scoped threads, one
 //!   derived RNG stream per trial);
 //! * [`figures`] — one function per figure of the paper, returning the
 //!   plotted data series (means and standard deviations over trials,

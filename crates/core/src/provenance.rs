@@ -12,26 +12,7 @@
 
 use crate::config::{ExperimentConfig, Kernel, Strategy};
 use crate::figures::FigOpts;
-
-/// Escapes `s` for inclusion inside a JSON string literal (quotes,
-/// backslashes, and control characters; everything else passes through).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use hetsched_util::json::json_escape;
 
 /// `"tool":…` prefix fields shared by every manifest flavour: crate
 /// version and build info (profile, OS, architecture).
@@ -158,13 +139,6 @@ mod tests {
         }
         assert_eq!(depth, 0, "unbalanced: {s}");
         assert!(!in_str, "unterminated string: {s}");
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_control_chars() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\n\t\u{1}"), "x\\n\\t\\u0001");
-        assert_eq!(json_escape("plain"), "plain");
     }
 
     #[test]

@@ -10,6 +10,7 @@ use hetsched_sim::{
     run_tree_with, Recorder, Scheduler, ShardSpec, SimReport, StreamingSink, Topology, TreeOpts,
     TreeOutcome,
 };
+pub use hetsched_util::parallel_map;
 use hetsched_util::rng::{derive_seed, rng_for};
 use hetsched_util::OnlineStats;
 use rand::rngs::StdRng;
@@ -489,52 +490,6 @@ fn merge_phase_split(
     })
 }
 
-/// Order-preserving parallel map over a work list, with the chunked
-/// crossbeam-scoped pattern the trial campaigns use.
-///
-/// Item `i` is mapped by `f(i, &items[i])` and lands in slot `i` of the
-/// output regardless of which thread ran it, so results are bit-for-bit
-/// independent of the thread count and schedule — provided `f` itself only
-/// depends on `(i, items[i])` (e.g. seeds every RNG from `i`).
-///
-/// `threads: None` uses the machine's available parallelism; `Some(t)` pins
-/// the worker count (useful for pinning determinism tests). `t <= 1`, a
-/// single item, or an empty list degrade to a plain serial map.
-pub fn parallel_map<T, R, F>(items: &[T], threads: Option<usize>, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    let threads = threads
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|t| t.get())
-                .unwrap_or(1)
-        })
-        .clamp(1, n.max(1));
-    if threads <= 1 || n <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let chunk_len = n.div_ceil(threads);
-    let f = &f;
-    crossbeam::thread::scope(|scope| {
-        for (t, chunk) in slots.chunks_mut(chunk_len).enumerate() {
-            let base = t * chunk_len;
-            scope.spawn(move |_| {
-                for (off, slot) in chunk.iter_mut().enumerate() {
-                    let i = base + off;
-                    *slot = Some(f(i, &items[i]));
-                }
-            });
-        }
-    })
-    .expect("parallel_map worker panicked");
-    slots.into_iter().map(|s| s.expect("slot filled")).collect()
-}
-
 /// Aggregates a campaign's per-trial results (in order) into a
 /// [`TrialSummary`].
 pub fn summarize_runs(results: &[RunResult]) -> TrialSummary {
@@ -568,7 +523,7 @@ pub fn summarize_runs(results: &[RunResult]) -> TrialSummary {
     summary
 }
 
-/// Runs `trials` independent seeded trials in parallel (crossbeam-scoped
+/// Runs `trials` independent seeded trials in parallel (scoped
 /// threads) and aggregates. Trial `i` uses seed `derive_seed(seed, i)`, so
 /// results are independent of the thread count and schedule.
 pub fn run_trials(cfg: &ExperimentConfig, trials: usize, seed: u64) -> TrialSummary {
@@ -598,8 +553,7 @@ pub fn run_trials_collected(
     threads: Option<usize>,
 ) -> (Vec<RunResult>, TrialSummary) {
     assert!(trials > 0, "need at least one trial");
-    let idx: Vec<usize> = (0..trials).collect();
-    let results = parallel_map(&idx, threads, |i, _| {
+    let results = parallel_map(0..trials, threads, |i, _| {
         run_once(cfg, derive_seed(seed, i as u64))
     });
     let summary = summarize_runs(&results);

@@ -32,6 +32,7 @@ pub mod block;
 pub mod matmul_run;
 pub mod outer_run;
 pub mod protocol;
+mod runtime;
 
 pub use block::BlockedMatrix;
 pub use matmul_run::run_matmul;

@@ -1,14 +1,51 @@
 //! Real execution of the matrix multiplication under any scheduler.
 
 use crate::block::{gemm_kernel, BlockedMatrix};
-use crate::protocol::{BlockTag, ExecConfig, ExecReport, InjectedFault, Job, ToMaster, ToWorker};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use hetsched_platform::ProcId;
+use crate::protocol::{BlockTag, ExecConfig, ExecReport};
+use crate::runtime::{execute, Kernel};
 use hetsched_sim::Scheduler;
-use hetsched_util::rng::rng_for;
-use hetsched_util::FixedBitSet;
-use std::collections::HashMap;
-use std::hint::black_box;
+
+/// `C = A·B`: task `(i·n + j)·n + k` adds `A[i,k]·B[k,j]` to `C[i,j]`.
+/// Input block ids are row-major: `A[i,k]` is `i·n + k`, `B[k,j]` is
+/// `k·n + j`.
+struct Matmul<'a> {
+    a: &'a BlockedMatrix,
+    b: &'a BlockedMatrix,
+}
+
+impl Kernel for Matmul<'_> {
+    fn n(&self) -> usize {
+        self.a.n_blocks()
+    }
+
+    fn l(&self) -> usize {
+        self.a.l()
+    }
+
+    fn input_blocks(&self) -> usize {
+        self.n() * self.n()
+    }
+
+    fn task(&self, id: u32) -> (usize, usize, (usize, usize)) {
+        let n = self.n();
+        let id = id as usize;
+        let (rest, k) = (id / n, id % n);
+        let (i, j) = (rest / n, rest % n);
+        (i * n + k, k * n + j, (i, j))
+    }
+
+    fn copy_block(&self, tag: BlockTag) -> Vec<f64> {
+        let n = self.n();
+        match tag {
+            BlockTag::A(id) => self.a.copy_block(id as usize / n, id as usize % n),
+            BlockTag::B(id) => self.b.copy_block(id as usize / n, id as usize % n),
+        }
+    }
+
+    fn compute(&self, a: &[f64], b: &[f64], c: &mut [f64]) {
+        gemm_kernel(self.l(), a, b, c);
+    }
+}
 
 /// Executes `C = A·B` with `cfg.speeds.len()` worker threads driven by
 /// `scheduler` (`total_tasks() == n³` for `n = a.n_blocks()`).
@@ -19,268 +56,20 @@ use std::hint::black_box;
 /// paper's accounting where `C` traffic is deferred to the end of the
 /// computation.
 pub fn run_matmul<S: Scheduler>(
-    mut scheduler: S,
+    scheduler: S,
     a: &BlockedMatrix,
     b: &BlockedMatrix,
     cfg: &ExecConfig,
 ) -> (BlockedMatrix, ExecReport) {
     let n = a.n_blocks();
-    let l = a.l();
     assert_eq!(b.n_blocks(), n);
-    assert_eq!(b.l(), l);
-    let p = cfg.speeds.len();
+    assert_eq!(b.l(), a.l());
     assert_eq!(
         scheduler.total_tasks(),
         n * n * n,
         "scheduler sized for a different problem"
     );
-
-    let mut rng = rng_for(cfg.seed, 0xE8ED);
-    let (to_master_tx, to_master_rx): (Sender<ToMaster>, Receiver<ToMaster>) = unbounded();
-    let worker_channels: Vec<(Sender<ToWorker>, Receiver<ToWorker>)> =
-        (0..p).map(|_| unbounded()).collect();
-
-    let mut sent_a: Vec<FixedBitSet> = (0..p).map(|_| FixedBitSet::new(n * n)).collect();
-    let mut sent_b: Vec<FixedBitSet> = (0..p).map(|_| FixedBitSet::new(n * n)).collect();
-
-    let mut result = BlockedMatrix::zeros(n, l);
-    let mut report = ExecReport {
-        input_blocks_shipped: 0,
-        result_blocks_returned: 0,
-        tasks_per_worker: vec![0; p],
-        jobs_per_worker: vec![0; p],
-        tasks_lost_per_worker: vec![0; p],
-    };
-
-    // Workers whose injected fault has not yet fired or been cancelled.
-    let mut fault_pending: Vec<bool> = (0..p).map(|w| cfg.fail_after(w).is_some()).collect();
-    let mut pending_count = fault_pending.iter().filter(|&&b| b).count();
-    assert!(
-        pending_count < p,
-        "at least one worker must survive the faults"
-    );
-
-    crossbeam::thread::scope(|scope| {
-        for (w, (_, rx)) in worker_channels.iter().enumerate() {
-            let rx = rx.clone();
-            let tx = to_master_tx.clone();
-            let fault_tx = to_master_tx.clone();
-            let factor = cfg.work_factor(w);
-            let fail_after = cfg.fail_after(w);
-            scope.spawn(move |_| {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    worker_loop(w, n, l, factor, fail_after, rx, tx)
-                })) {
-                    Ok(()) => {}
-                    Err(payload) if payload.is::<InjectedFault>() => {
-                        let _ = fault_tx.send(ToMaster::Failed { worker: w });
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            });
-        }
-        drop(to_master_tx);
-
-        // Every task id a worker currently holds unflushed results for.
-        let mut assigned: Vec<Vec<u32>> = vec![Vec::new(); p];
-        // Requests that cannot be answered yet: the pool is drained but a
-        // pending fault may still return lost tasks to it.
-        let mut parked: Vec<usize> = Vec::new();
-        let mut live = p;
-
-        while live > 0 {
-            match to_master_rx.recv().expect("workers alive while live > 0") {
-                ToMaster::Request { worker } => parked.push(worker),
-                ToMaster::Results { worker, blocks } => {
-                    report.result_blocks_returned += blocks.len() as u64;
-                    for ((i, j), data) in blocks {
-                        result.add_block(i as usize, j as usize, &data);
-                    }
-                    assigned[worker].clear();
-                    live -= 1;
-                }
-                ToMaster::Failed { worker } => {
-                    // The thread is gone and its locally accumulated C
-                    // contributions with it: return everything it was
-                    // assigned to the pool.
-                    live -= 1;
-                    debug_assert!(fault_pending[worker]);
-                    fault_pending[worker] = false;
-                    pending_count -= 1;
-                    let lost = std::mem::take(&mut assigned[worker]);
-                    report.tasks_per_worker[worker] -= lost.len() as u64;
-                    report.tasks_lost_per_worker[worker] += lost.len() as u64;
-                    scheduler.on_tasks_lost(&lost);
-                }
-            }
-
-            loop {
-                // Serve parked requests until none can make progress.
-                loop {
-                    let mut progress = false;
-                    let mut idx = 0;
-                    while idx < parked.len() {
-                        let worker = parked[idx];
-                        if scheduler.remaining() == 0 {
-                            let own = fault_pending[worker] as usize;
-                            if pending_count - own > 0 {
-                                // Some *other* worker may still die and
-                                // return tasks; keep this request parked.
-                                idx += 1;
-                                continue;
-                            }
-                            // This worker's own fault (if any) can never
-                            // fire while it idles on an empty pool: cancel
-                            // it and let the worker shut down below.
-                            if fault_pending[worker] {
-                                fault_pending[worker] = false;
-                                pending_count -= 1;
-                            }
-                        }
-                        let mut tasks = Vec::new();
-                        let alloc = if scheduler.remaining() == 0 {
-                            hetsched_sim::Allocation::DONE
-                        } else {
-                            scheduler.on_request(ProcId(worker as u32), &mut rng, &mut tasks)
-                        };
-                        if alloc.is_done() {
-                            worker_channels[worker]
-                                .0
-                                .send(ToWorker::Shutdown)
-                                .expect("worker waiting");
-                            parked.remove(idx);
-                            progress = true;
-                            continue;
-                        }
-                        debug_assert_eq!(tasks.len(), alloc.tasks);
-                        report.tasks_per_worker[worker] += tasks.len() as u64;
-                        report.jobs_per_worker[worker] += 1;
-                        assigned[worker].extend_from_slice(&tasks);
-
-                        let mut blocks = Vec::new();
-                        for &id in &tasks {
-                            let (i, j, k) = decode(id, n);
-                            let a_id = i * n + k;
-                            let b_id = k * n + j;
-                            if sent_a[worker].insert(a_id) {
-                                blocks.push((BlockTag::A(a_id as u32), a.copy_block(i, k)));
-                            }
-                            if sent_b[worker].insert(b_id) {
-                                blocks.push((BlockTag::B(b_id as u32), b.copy_block(k, j)));
-                            }
-                        }
-                        report.input_blocks_shipped += blocks.len() as u64;
-                        worker_channels[worker]
-                            .0
-                            .send(ToWorker::Job(Job { tasks, blocks }))
-                            .expect("worker waiting");
-                        parked.remove(idx);
-                        progress = true;
-                    }
-                    if !progress {
-                        break;
-                    }
-                }
-                // Deadlock breaker: if every live worker is parked on an
-                // empty pool, the remaining pending faults (all on parked,
-                // hence idle, workers) can never fire. Cancel them and
-                // re-serve so everyone shuts down.
-                if parked.len() == live && scheduler.remaining() == 0 && pending_count > 0 {
-                    for &w in &parked {
-                        if fault_pending[w] {
-                            fault_pending[w] = false;
-                            pending_count -= 1;
-                        }
-                    }
-                    continue;
-                }
-                break;
-            }
-        }
-    })
-    .expect("worker thread panicked");
-
-    (result, report)
-}
-
-#[inline]
-fn decode(id: u32, n: usize) -> (usize, usize, usize) {
-    let id = id as usize;
-    let k = id % n;
-    let rest = id / n;
-    (rest / n, rest % n, k)
-}
-
-fn worker_loop(
-    worker: usize,
-    n: usize,
-    l: usize,
-    work_factor: u32,
-    fail_after: Option<u64>,
-    rx: Receiver<ToWorker>,
-    tx: Sender<ToMaster>,
-) {
-    let mut completed = 0u64;
-    let mut store_a: HashMap<usize, Vec<f64>> = HashMap::new();
-    let mut store_b: HashMap<usize, Vec<f64>> = HashMap::new();
-    // Local C accumulators, keyed by (i, j).
-    let mut acc: HashMap<(u32, u32), Vec<f64>> = HashMap::new();
-    // Sleep owed by the speed emulation, flushed in ≥200 µs chunks to beat
-    // the OS timer granularity (see outer_run.rs).
-    let mut sleep_debt = std::time::Duration::ZERO;
-
-    tx.send(ToMaster::Request { worker }).expect("master alive");
-    loop {
-        match rx.recv().expect("master alive") {
-            ToWorker::Job(job) => {
-                for (tag, data) in job.blocks {
-                    match tag {
-                        BlockTag::A(id) => {
-                            store_a.insert(id as usize, data);
-                        }
-                        BlockTag::B(id) => {
-                            store_b.insert(id as usize, data);
-                        }
-                    }
-                }
-                for id in job.tasks {
-                    if Some(completed) == fail_after {
-                        // Injected fault: die as if the thread was killed,
-                        // taking the local C accumulators down with it.
-                        std::panic::panic_any(InjectedFault);
-                    }
-                    let (i, j, k) = decode(id, n);
-                    let ab = store_a.get(&(i * n + k)).expect("A block shipped");
-                    let bb = store_b.get(&(k * n + j)).expect("B block shipped");
-                    let c = acc
-                        .entry((i as u32, j as u32))
-                        .or_insert_with(|| vec![0.0; l * l]);
-                    // Emulated heterogeneity: compute once for real, then
-                    // sleep the extra (factor − 1) kernel durations (honest
-                    // wall-clock ratios even with more workers than cores).
-                    let t0 = std::time::Instant::now();
-                    gemm_kernel(l, black_box(ab), black_box(bb), c);
-                    if work_factor > 1 {
-                        sleep_debt += t0.elapsed() * (work_factor - 1);
-                        if sleep_debt >= std::time::Duration::from_micros(200) {
-                            std::thread::sleep(sleep_debt);
-                            sleep_debt = std::time::Duration::ZERO;
-                        }
-                    }
-                    completed += 1;
-                }
-                tx.send(ToMaster::Request { worker }).expect("master alive");
-            }
-            ToWorker::Shutdown => {
-                let mut blocks: Vec<((u32, u32), Vec<f64>)> = acc.drain().collect();
-                // Deterministic flush order (HashMap iteration is not).
-                blocks.sort_by_key(|(ij, _)| *ij);
-                tx.send(ToMaster::Results { worker, blocks })
-                    .expect("master alive");
-                return;
-            }
-        }
-    }
+    execute(&Matmul { a, b }, scheduler, cfg, 0xE8ED)
 }
 
 #[cfg(test)]
@@ -360,13 +149,18 @@ mod tests {
 
     #[test]
     fn killed_worker_is_recovered_exactly_once() {
-        // Worker 0 dies after 6 completed tasks; its local C accumulators
-        // (partial sums!) are lost with it and the master re-queues every
-        // task it ever held, so no contribution is double-counted.
+        // Worker 0 is killed once it has been assigned 6 tasks; its local C
+        // accumulators (partial sums!) are lost with it and the master
+        // re-queues every task it ever held, so no contribution is
+        // double-counted.
         let cfg = ExecConfig::homogeneous(3, 12).fail_after_tasks(0, 6);
         let (_, report) = check(RandomMatrix::new(5, 3), 5, 3, &cfg);
         assert!(report.total_tasks_lost() > 0, "fault never fired");
-        assert!(report.tasks_lost_per_worker[0] >= 6);
+        // RandomMatrix allocates one task per request: the master's count
+        // of jobs for worker 0 is its count of assigned tasks, all lost.
+        assert_eq!(report.tasks_lost_per_worker[0], 6);
+        assert_eq!(report.tasks_lost_per_worker[0], report.jobs_per_worker[0]);
+        assert_eq!(report.tasks_per_worker[0], 0);
     }
 
     #[test]

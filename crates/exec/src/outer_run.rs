@@ -1,13 +1,49 @@
 //! Real execution of the outer product under any scheduler.
 
 use crate::block::{outer_kernel, BlockedMatrix, BlockedVector};
-use crate::protocol::{BlockTag, ExecConfig, ExecReport, InjectedFault, Job, ToMaster, ToWorker};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use hetsched_platform::ProcId;
+use crate::protocol::{BlockTag, ExecConfig, ExecReport};
+use crate::runtime::{execute, Kernel};
 use hetsched_sim::Scheduler;
-use hetsched_util::rng::rng_for;
-use hetsched_util::FixedBitSet;
-use std::hint::black_box;
+
+/// `M = a·bᵗ`: task `i·n + j` computes result block `(i, j)` from block
+/// `i` of `a` and block `j` of `b`.
+struct Outer<'a> {
+    a: &'a BlockedVector,
+    b: &'a BlockedVector,
+}
+
+impl Kernel for Outer<'_> {
+    fn n(&self) -> usize {
+        self.a.n_blocks()
+    }
+
+    fn l(&self) -> usize {
+        self.a.l()
+    }
+
+    fn input_blocks(&self) -> usize {
+        self.a.n_blocks()
+    }
+
+    fn task(&self, id: u32) -> (usize, usize, (usize, usize)) {
+        let n = self.n();
+        let (i, j) = (id as usize / n, id as usize % n);
+        (i, j, (i, j))
+    }
+
+    fn copy_block(&self, tag: BlockTag) -> Vec<f64> {
+        match tag {
+            BlockTag::A(i) => self.a.copy_block(i as usize),
+            BlockTag::B(j) => self.b.copy_block(j as usize),
+        }
+    }
+
+    fn compute(&self, a: &[f64], b: &[f64], c: &mut [f64]) {
+        // A result block has exactly one task and reaches each worker at
+        // most once, so overwriting the zeroed block is adding to it.
+        outer_kernel(a, b, c);
+    }
+}
 
 /// Executes `M = a·bᵗ` with `cfg.speeds.len()` worker threads driven by
 /// `scheduler`. Returns the assembled matrix and the execution report.
@@ -15,260 +51,20 @@ use std::hint::black_box;
 /// The scheduler must have been constructed for `n = a.n_blocks()` blocks
 /// and `p = cfg.speeds.len()` workers (`total_tasks() == n²`).
 pub fn run_outer<S: Scheduler>(
-    mut scheduler: S,
+    scheduler: S,
     a: &BlockedVector,
     b: &BlockedVector,
     cfg: &ExecConfig,
 ) -> (BlockedMatrix, ExecReport) {
     let n = a.n_blocks();
-    let l = a.l();
     assert_eq!(b.n_blocks(), n);
-    assert_eq!(b.l(), l);
-    let p = cfg.speeds.len();
+    assert_eq!(b.l(), a.l());
     assert_eq!(
         scheduler.total_tasks(),
         n * n,
         "scheduler sized for a different problem"
     );
-
-    let mut rng = rng_for(cfg.seed, 0xE8EC);
-    let (to_master_tx, to_master_rx): (Sender<ToMaster>, Receiver<ToMaster>) = unbounded();
-    let worker_channels: Vec<(Sender<ToWorker>, Receiver<ToWorker>)> =
-        (0..p).map(|_| unbounded()).collect();
-
-    // Master-side record of which blocks each worker has been shipped.
-    let mut sent_a: Vec<FixedBitSet> = (0..p).map(|_| FixedBitSet::new(n)).collect();
-    let mut sent_b: Vec<FixedBitSet> = (0..p).map(|_| FixedBitSet::new(n)).collect();
-
-    let mut result = BlockedMatrix::zeros(n, l);
-    let mut report = ExecReport {
-        input_blocks_shipped: 0,
-        result_blocks_returned: 0,
-        tasks_per_worker: vec![0; p],
-        jobs_per_worker: vec![0; p],
-        tasks_lost_per_worker: vec![0; p],
-    };
-
-    // Workers whose injected fault has not yet fired or been cancelled.
-    let mut fault_pending: Vec<bool> = (0..p).map(|w| cfg.fail_after(w).is_some()).collect();
-    let mut pending_count = fault_pending.iter().filter(|&&b| b).count();
-    assert!(
-        pending_count < p,
-        "at least one worker must survive the faults"
-    );
-
-    crossbeam::thread::scope(|scope| {
-        for (w, (_, rx)) in worker_channels.iter().enumerate() {
-            let rx = rx.clone();
-            let tx = to_master_tx.clone();
-            let fault_tx = to_master_tx.clone();
-            let factor = cfg.work_factor(w);
-            let fail_after = cfg.fail_after(w);
-            scope.spawn(move |_| {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    worker_loop(w, n, l, factor, fail_after, rx, tx)
-                })) {
-                    Ok(()) => {}
-                    Err(payload) if payload.is::<InjectedFault>() => {
-                        let _ = fault_tx.send(ToMaster::Failed { worker: w });
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            });
-        }
-        drop(to_master_tx);
-
-        // Every task id a worker currently holds unflushed results for.
-        let mut assigned: Vec<Vec<u32>> = vec![Vec::new(); p];
-        // Requests that cannot be answered yet: the pool is drained but a
-        // pending fault may still return lost tasks to it.
-        let mut parked: Vec<usize> = Vec::new();
-        let mut live = p;
-
-        while live > 0 {
-            match to_master_rx.recv().expect("workers alive while live > 0") {
-                ToMaster::Request { worker } => parked.push(worker),
-                ToMaster::Results { worker, blocks } => {
-                    report.result_blocks_returned += blocks.len() as u64;
-                    for ((i, j), data) in blocks {
-                        result.add_block(i as usize, j as usize, &data);
-                    }
-                    assigned[worker].clear();
-                    live -= 1;
-                }
-                ToMaster::Failed { worker } => {
-                    // The thread is gone and its locally held results with
-                    // it: return everything it was assigned to the pool.
-                    live -= 1;
-                    debug_assert!(fault_pending[worker]);
-                    fault_pending[worker] = false;
-                    pending_count -= 1;
-                    let lost = std::mem::take(&mut assigned[worker]);
-                    report.tasks_per_worker[worker] -= lost.len() as u64;
-                    report.tasks_lost_per_worker[worker] += lost.len() as u64;
-                    scheduler.on_tasks_lost(&lost);
-                }
-            }
-
-            loop {
-                // Serve parked requests until none can make progress.
-                loop {
-                    let mut progress = false;
-                    let mut idx = 0;
-                    while idx < parked.len() {
-                        let worker = parked[idx];
-                        if scheduler.remaining() == 0 {
-                            let own = fault_pending[worker] as usize;
-                            if pending_count - own > 0 {
-                                // Some *other* worker may still die and
-                                // return tasks; keep this request parked.
-                                idx += 1;
-                                continue;
-                            }
-                            // This worker's own fault (if any) can never
-                            // fire while it idles on an empty pool: cancel
-                            // it and let the worker shut down below.
-                            if fault_pending[worker] {
-                                fault_pending[worker] = false;
-                                pending_count -= 1;
-                            }
-                        }
-                        let mut tasks = Vec::new();
-                        let alloc = if scheduler.remaining() == 0 {
-                            hetsched_sim::Allocation::DONE
-                        } else {
-                            scheduler.on_request(ProcId(worker as u32), &mut rng, &mut tasks)
-                        };
-                        if alloc.is_done() {
-                            worker_channels[worker]
-                                .0
-                                .send(ToWorker::Shutdown)
-                                .expect("worker waiting");
-                            parked.remove(idx);
-                            progress = true;
-                            continue;
-                        }
-                        debug_assert_eq!(tasks.len(), alloc.tasks);
-                        report.tasks_per_worker[worker] += tasks.len() as u64;
-                        report.jobs_per_worker[worker] += 1;
-                        assigned[worker].extend_from_slice(&tasks);
-
-                        // Ship exactly the blocks these tasks need and the
-                        // worker lacks. (A data-aware scheduler may have
-                        // *accounted* for more — blocks bought by extensions
-                        // that enabled nothing; see the exec-vs-sim tests.)
-                        let mut blocks = Vec::new();
-                        for &id in &tasks {
-                            let (i, j) = ((id as usize) / n, (id as usize) % n);
-                            if sent_a[worker].insert(i) {
-                                blocks.push((BlockTag::A(i as u32), a.copy_block(i)));
-                            }
-                            if sent_b[worker].insert(j) {
-                                blocks.push((BlockTag::B(j as u32), b.copy_block(j)));
-                            }
-                        }
-                        report.input_blocks_shipped += blocks.len() as u64;
-                        worker_channels[worker]
-                            .0
-                            .send(ToWorker::Job(Job { tasks, blocks }))
-                            .expect("worker waiting");
-                        parked.remove(idx);
-                        progress = true;
-                    }
-                    if !progress {
-                        break;
-                    }
-                }
-                // Deadlock breaker: if every live worker is parked on an
-                // empty pool, the remaining pending faults (all on parked,
-                // hence idle, workers) can never fire. Cancel them and
-                // re-serve so everyone shuts down.
-                if parked.len() == live && scheduler.remaining() == 0 && pending_count > 0 {
-                    for &w in &parked {
-                        if fault_pending[w] {
-                            fault_pending[w] = false;
-                            pending_count -= 1;
-                        }
-                    }
-                    continue;
-                }
-                break;
-            }
-        }
-    })
-    .expect("worker thread panicked");
-
-    (result, report)
-}
-
-/// Worker side: hold received blocks, compute assigned outer-product
-/// blocks, flush everything on shutdown.
-fn worker_loop(
-    worker: usize,
-    n: usize,
-    l: usize,
-    work_factor: u32,
-    fail_after: Option<u64>,
-    rx: Receiver<ToWorker>,
-    tx: Sender<ToMaster>,
-) {
-    let mut store_a: Vec<Option<Vec<f64>>> = vec![None; n];
-    let mut store_b: Vec<Option<Vec<f64>>> = vec![None; n];
-    let mut results: Vec<((u32, u32), Vec<f64>)> = Vec::new();
-    let mut completed = 0u64;
-    // Accumulated sleep owed by the speed emulation; flushed in chunks
-    // large enough to beat the OS timer granularity (~50 µs), so emulated
-    // speed ratios stay accurate even for microsecond kernels.
-    let mut sleep_debt = std::time::Duration::ZERO;
-
-    tx.send(ToMaster::Request { worker }).expect("master alive");
-    loop {
-        match rx.recv().expect("master alive") {
-            ToWorker::Job(job) => {
-                for (tag, data) in job.blocks {
-                    match tag {
-                        BlockTag::A(i) => store_a[i as usize] = Some(data),
-                        BlockTag::B(j) => store_b[j as usize] = Some(data),
-                    }
-                }
-                for id in job.tasks {
-                    if Some(completed) == fail_after {
-                        // Injected fault: die as if the thread was killed,
-                        // taking the locally held results down with it.
-                        std::panic::panic_any(InjectedFault);
-                    }
-                    let (i, j) = ((id as usize) / n, (id as usize) % n);
-                    let ab = store_a[i].as_deref().expect("a block shipped");
-                    let bb = store_b[j].as_deref().expect("b block shipped");
-                    let mut c = vec![0.0; l * l];
-                    // Emulated heterogeneity: compute once for real, then
-                    // sleep the extra (factor − 1) kernel durations. Sleeping
-                    // (instead of re-running the kernel) keeps the wall-clock
-                    // speed ratio honest even when workers outnumber cores.
-                    let t0 = std::time::Instant::now();
-                    outer_kernel(black_box(ab), black_box(bb), &mut c);
-                    if work_factor > 1 {
-                        sleep_debt += t0.elapsed() * (work_factor - 1);
-                        if sleep_debt >= std::time::Duration::from_micros(200) {
-                            std::thread::sleep(sleep_debt);
-                            sleep_debt = std::time::Duration::ZERO;
-                        }
-                    }
-                    results.push(((i as u32, j as u32), c));
-                    completed += 1;
-                }
-                tx.send(ToMaster::Request { worker }).expect("master alive");
-            }
-            ToWorker::Shutdown => {
-                tx.send(ToMaster::Results {
-                    worker,
-                    blocks: std::mem::take(&mut results),
-                })
-                .expect("master alive");
-                return;
-            }
-        }
-    }
+    execute(&Outer { a, b }, scheduler, cfg, 0xE8EC)
 }
 
 #[cfg(test)]
@@ -351,13 +147,16 @@ mod tests {
 
     #[test]
     fn killed_worker_is_recovered_exactly_once() {
-        // Worker 1's thread dies after 5 completed tasks, losing every
-        // result it held. The master re-queues its assignments and the
-        // survivors produce a bit-exact matrix anyway.
+        // Worker 1's thread is killed once it has been assigned 5 tasks,
+        // losing every result it held. The master re-queues its
+        // assignments and the survivors produce a bit-exact matrix anyway.
         let cfg = ExecConfig::homogeneous(3, 8).fail_after_tasks(1, 5);
         let report = check(RandomOuter::new(10, 3), 10, 3, &cfg);
         assert!(report.total_tasks_lost() > 0, "fault never fired");
-        assert!(report.tasks_lost_per_worker[1] >= 5);
+        // RandomOuter allocates one task per request, so the master had
+        // assigned exactly five when it killed the worker.
+        assert_eq!(report.tasks_lost_per_worker[1], 5);
+        assert_eq!(report.tasks_lost_per_worker[1], report.jobs_per_worker[1]);
         assert_eq!(report.tasks_lost_per_worker[0], 0);
         assert_eq!(report.tasks_lost_per_worker[2], 0);
     }
@@ -371,6 +170,9 @@ mod tests {
                 report.total_tasks_lost() > 0,
                 "fault never fired (seed {seed})"
             );
+            // The allocations up to the kill follow from the seed alone.
+            let again = check(DynamicOuter2Phases::with_beta(12, 4, 3.0), 12, 2, &cfg);
+            assert_eq!(again.tasks_lost_per_worker, report.tasks_lost_per_worker);
         }
     }
 

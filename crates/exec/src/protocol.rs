@@ -2,7 +2,7 @@
 
 /// Identifies one shipped data block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BlockTag {
+pub(crate) enum BlockTag {
     /// Block `i` of vector `a`, or block `(i·n + k)` of matrix `A`.
     A(u32),
     /// Block `j` of vector `b`, or block `(k·n + j)` of matrix `B`.
@@ -11,8 +11,8 @@ pub enum BlockTag {
 
 /// A batch of work for one worker.
 #[derive(Clone, Debug)]
-pub struct Job {
-    /// Linear task ids (decoded kernel-specifically by the worker).
+pub(crate) struct Job {
+    /// Linear task ids (decoded by the kernel).
     pub tasks: Vec<u32>,
     /// Input blocks the worker does not have yet.
     pub blocks: Vec<(BlockTag, Vec<f64>)>,
@@ -20,16 +20,18 @@ pub struct Job {
 
 /// Master → worker.
 #[derive(Clone, Debug)]
-pub enum ToWorker {
+pub(crate) enum ToWorker {
     /// Compute this batch, then request again.
     Job(Job),
     /// Flush results and exit.
     Shutdown,
+    /// Injected fault: exit at once, losing every unflushed result.
+    Kill,
 }
 
 /// Worker → master.
 #[derive(Clone, Debug)]
-pub enum ToMaster {
+pub(crate) enum ToMaster {
     /// Worker is idle and wants work.
     Request { worker: usize },
     /// Result contribution blocks `((i, j), l×l data)`, sent on shutdown.
@@ -37,23 +39,18 @@ pub enum ToMaster {
         worker: usize,
         blocks: Vec<((u32, u32), Vec<f64>)>,
     },
-    /// The worker's thread died with an injected fault. Everything it was
-    /// ever assigned is lost (results only travel at shutdown) and must be
-    /// re-allocated to the survivors.
-    Failed { worker: usize },
 }
-
-/// Panic payload a worker thread unwinds with when its injected fault
-/// fires; the thread wrapper turns it into [`ToMaster::Failed`] instead of
-/// propagating it (genuine panics still propagate).
-pub(crate) struct InjectedFault;
 
 /// An injected fault for a real execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecFault {
-    /// Kill `worker`'s thread (by unwinding it) once it has completed
-    /// `after` tasks. The fault is cancelled if the worker idles out with
-    /// fewer completions — it can then never fire.
+    /// Kill `worker`'s thread once the master has assigned it `after`
+    /// tasks: the master answers its next request with a kill, and
+    /// everything it was ever assigned (results only travel at shutdown)
+    /// is re-allocated to the survivors. The master decides, so the fault
+    /// fires at the same point of the allocation sequence on every run
+    /// and host. It is cancelled if the task pool drains first — it can
+    /// then never fire.
     FailAfterTasks { worker: usize, after: u64 },
 }
 
@@ -86,7 +83,7 @@ impl ExecConfig {
         self
     }
 
-    /// Task-completion threshold at which `worker` dies, if any.
+    /// Assigned-task threshold at which `worker` is killed, if any.
     pub fn fail_after(&self, worker: usize) -> Option<u64> {
         self.faults.iter().find_map(|f| match *f {
             ExecFault::FailAfterTasks { worker: w, after } if w == worker => Some(after),

@@ -88,7 +88,8 @@ mod tests {
         let pf = Platform::from_speeds(vec![25.0, 75.0]);
         let mut rng = rng_for(0, 0);
         let (report, sched) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, DynamicMatrix::new(10, 2), &mut rng);
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicMatrix::new(10, 2))
+                .run(&mut rng);
         assert_eq!(sched.remaining(), 0);
         assert_eq!(report.ledger.total_tasks(), 1000);
     }
@@ -98,18 +99,10 @@ mod tests {
         let mut seed = rng_for(1, 0);
         let pf = Platform::sample(20, &SpeedDistribution::paper_default(), &mut seed);
         let lb = matmul_lower_bound(20, &pf);
-        let (d, _) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            DynamicMatrix::new(20, 20),
-            &mut rng_for(1, 1),
-        );
-        let (r, _) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            RandomMatrix::new(20, 20),
-            &mut rng_for(1, 1),
-        );
+        let (d, _) = hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicMatrix::new(20, 20))
+            .run(&mut rng_for(1, 1));
+        let (r, _) = hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, RandomMatrix::new(20, 20))
+            .run(&mut rng_for(1, 1));
         assert!(
             d.normalized(lb) < r.normalized(lb),
             "dynamic {} vs random {}",
@@ -124,7 +117,8 @@ mod tests {
         let pf = Platform::from_speeds(vec![3.0]);
         let mut rng = rng_for(2, 0);
         let (report, _) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, DynamicMatrix::new(9, 1), &mut rng);
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicMatrix::new(9, 1))
+                .run(&mut rng);
         assert_eq!(report.total_blocks, 3 * 81);
     }
 
@@ -133,7 +127,8 @@ mod tests {
         let pf = Platform::homogeneous(6);
         let mut rng = rng_for(3, 0);
         let (_, sched) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, DynamicMatrix::new(15, 6), &mut rng);
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicMatrix::new(15, 6))
+                .run(&mut rng);
         for k in pf.procs() {
             let w = sched.worker(k);
             assert_eq!(w.i_set.count(), w.j_set.count());

@@ -85,7 +85,8 @@ mod tests {
         let pf = Platform::from_speeds(vec![10.0, 90.0]);
         let mut rng = rng_for(0, 0);
         let (report, sched) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, RandomMatrix::new(8, 2), &mut rng);
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, RandomMatrix::new(8, 2))
+                .run(&mut rng);
         assert_eq!(sched.remaining(), 0);
         assert_eq!(report.ledger.total_tasks(), 512);
     }
@@ -95,7 +96,8 @@ mod tests {
         let pf = Platform::homogeneous(8);
         let mut rng = rng_for(1, 0);
         let (report, _) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, RandomMatrix::new(12, 8), &mut rng);
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, RandomMatrix::new(12, 8))
+                .run(&mut rng);
         let lb = matmul_lower_bound(12, &pf);
         assert!(report.normalized(lb) > 2.0);
     }
@@ -105,7 +107,8 @@ mod tests {
         let pf = Platform::homogeneous(3);
         let mut rng = rng_for(2, 0);
         let (report, _) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, RandomMatrix::new(6, 3), &mut rng);
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, RandomMatrix::new(6, 3))
+                .run(&mut rng);
         assert!(report.total_blocks <= 3 * 216);
     }
 }

@@ -124,7 +124,8 @@ mod tests {
         let pf = Platform::from_speeds(vec![2.0]);
         let mut rng = rng_for(1, 0);
         let (report, _) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, SortedMatrix::new(n, 1), &mut rng);
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, SortedMatrix::new(n, 1))
+                .run(&mut rng);
         assert_eq!(report.total_blocks, 3 * (n * n) as u64);
     }
 
@@ -133,7 +134,8 @@ mod tests {
         let pf = Platform::from_speeds(vec![10.0, 50.0, 100.0]);
         let mut rng = rng_for(2, 0);
         let (report, sched) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, SortedMatrix::new(7, 3), &mut rng);
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, SortedMatrix::new(7, 3))
+                .run(&mut rng);
         assert_eq!(sched.remaining(), 0);
         assert_eq!(report.ledger.total_tasks(), 343);
     }

@@ -195,36 +195,22 @@ mod tests {
     #[test]
     fn zero_threshold_degenerates_to_pure_dynamic() {
         let pf = Platform::homogeneous(4);
-        let (two, _) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            DynamicMatrix2Phases::new(8, 4, 0),
-            &mut rng_for(0, 7),
-        );
-        let (pure, _) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            DynamicMatrix::new(8, 4),
-            &mut rng_for(0, 7),
-        );
+        let (two, _) =
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicMatrix2Phases::new(8, 4, 0))
+                .run(&mut rng_for(0, 7));
+        let (pure, _) = hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicMatrix::new(8, 4))
+            .run(&mut rng_for(0, 7));
         assert_eq!(two.total_blocks, pure.total_blocks);
     }
 
     #[test]
     fn full_threshold_degenerates_to_pure_random() {
         let pf = Platform::homogeneous(4);
-        let (two, _) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            DynamicMatrix2Phases::new(8, 4, 512),
-            &mut rng_for(1, 7),
-        );
-        let (pure, _) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            RandomMatrix::new(8, 4),
-            &mut rng_for(1, 7),
-        );
+        let (two, _) =
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicMatrix2Phases::new(8, 4, 512))
+                .run(&mut rng_for(1, 7));
+        let (pure, _) = hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, RandomMatrix::new(8, 4))
+            .run(&mut rng_for(1, 7));
         assert_eq!(two.total_blocks, pure.total_blocks);
     }
 
@@ -235,39 +221,31 @@ mod tests {
         let s = DynamicMatrix2Phases::with_beta(8, 4, 0.0);
         assert_eq!(s.threshold(), 512);
         let pf = Platform::homogeneous(4);
-        let (two, sched) = hetsched_sim::run(
+        let (two, sched) = hetsched_sim::Engine::new(
             &pf,
             SpeedModel::Fixed,
             DynamicMatrix2Phases::with_beta(8, 4, 0.0),
-            &mut rng_for(21, 7),
-        );
+        )
+        .run(&mut rng_for(21, 7));
         assert_eq!(sched.phase1_tasks(), 0);
-        let (pure, _) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            RandomMatrix::new(8, 4),
-            &mut rng_for(21, 7),
-        );
+        let (pure, _) = hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, RandomMatrix::new(8, 4))
+            .run(&mut rng_for(21, 7));
         assert_eq!(two.total_blocks, pure.total_blocks);
     }
 
     #[test]
     fn fraction_one_is_pure_dynamic() {
         let pf = Platform::homogeneous(4);
-        let (two, sched) = hetsched_sim::run(
+        let (two, sched) = hetsched_sim::Engine::new(
             &pf,
             SpeedModel::Fixed,
             DynamicMatrix2Phases::with_phase1_fraction(8, 4, 1.0),
-            &mut rng_for(22, 7),
-        );
+        )
+        .run(&mut rng_for(22, 7));
         assert_eq!(sched.threshold(), 0);
         assert_eq!(sched.phase2_tasks(), 0);
-        let (pure, _) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            DynamicMatrix::new(8, 4),
-            &mut rng_for(22, 7),
-        );
+        let (pure, _) = hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicMatrix::new(8, 4))
+            .run(&mut rng_for(22, 7));
         assert_eq!(two.total_blocks, pure.total_blocks);
     }
 
@@ -290,12 +268,12 @@ mod tests {
     fn phase_accounting_is_exhaustive() {
         let pf = Platform::from_speeds(vec![20.0, 30.0, 50.0]);
         let mut rng = rng_for(2, 0);
-        let (report, sched) = hetsched_sim::run(
+        let (report, sched) = hetsched_sim::Engine::new(
             &pf,
             SpeedModel::Fixed,
             DynamicMatrix2Phases::with_beta(12, 3, 3.0),
-            &mut rng,
-        );
+        )
+        .run(&mut rng);
         assert_eq!(sched.phase1_tasks() + sched.phase2_tasks(), 12 * 12 * 12);
         assert_eq!(
             sched.phase1_blocks() + sched.phase2_blocks(),
@@ -325,12 +303,12 @@ mod tests {
     #[test]
     fn n_equals_one_works() {
         let pf = Platform::homogeneous(2);
-        let (report, _) = hetsched_sim::run(
+        let (report, _) = hetsched_sim::Engine::new(
             &pf,
             SpeedModel::Fixed,
             DynamicMatrix2Phases::with_beta(1, 2, 2.0),
-            &mut rng_for(11, 0),
-        );
+        )
+        .run(&mut rng_for(11, 0));
         assert_eq!(report.ledger.total_tasks(), 1);
         assert_eq!(report.total_blocks, 3);
     }
@@ -343,18 +321,15 @@ mod tests {
         let mut dyn_sum = 0.0;
         let mut two_sum = 0.0;
         for t in 0..4u64 {
-            let (d, _) = hetsched_sim::run(
-                &pf,
-                SpeedModel::Fixed,
-                DynamicMatrix::new(20, 20),
-                &mut rng_for(50 + t, 0),
-            );
-            let (w, _) = hetsched_sim::run(
+            let (d, _) =
+                hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicMatrix::new(20, 20))
+                    .run(&mut rng_for(50 + t, 0));
+            let (w, _) = hetsched_sim::Engine::new(
                 &pf,
                 SpeedModel::Fixed,
                 DynamicMatrix2Phases::with_beta(20, 20, 3.0),
-                &mut rng_for(50 + t, 0),
-            );
+            )
+            .run(&mut rng_for(50 + t, 0));
             dyn_sum += d.normalized(lb);
             two_sum += w.normalized(lb);
         }

@@ -93,7 +93,8 @@ mod tests {
         let pf = Platform::from_speeds(vec![15.0, 85.0]);
         let mut rng = rng_for(0, 0);
         let (report, sched) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, DynamicOuter::new(30, 2), &mut rng);
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicOuter::new(30, 2))
+                .run(&mut rng);
         assert_eq!(sched.remaining(), 0);
         assert_eq!(report.ledger.total_tasks(), 900);
     }
@@ -104,18 +105,15 @@ mod tests {
         let pf = Platform::sample(20, &SpeedDistribution::paper_default(), &mut rng);
         let lb = outer_lower_bound(100, &pf);
 
-        let (dyn_report, _) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            DynamicOuter::new(100, 20),
-            &mut rng_for(1, 1),
-        );
-        let (rnd_report, _) = hetsched_sim::run(
+        let (dyn_report, _) =
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicOuter::new(100, 20))
+                .run(&mut rng_for(1, 1));
+        let (rnd_report, _) = hetsched_sim::Engine::new(
             &pf,
             SpeedModel::Fixed,
             crate::strategies::RandomOuter::new(100, 20),
-            &mut rng_for(1, 1),
-        );
+        )
+        .run(&mut rng_for(1, 1));
         let d = dyn_report.normalized(lb);
         let r = rnd_report.normalized(lb);
         assert!(d < r, "dynamic {d} should beat random {r}");
@@ -130,7 +128,8 @@ mod tests {
         let pf = Platform::sample(10, &SpeedDistribution::paper_default(), &mut rng);
         let lb = outer_lower_bound(50, &pf);
         let (report, _) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, DynamicOuter::new(50, 10), &mut rng);
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicOuter::new(50, 10))
+                .run(&mut rng);
         assert!(report.total_blocks as f64 >= lb * 0.999);
     }
 
@@ -142,7 +141,8 @@ mod tests {
         let pf = Platform::homogeneous(8);
         let mut rng = rng_for(3, 0);
         let (_, sched) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, DynamicOuter::new(60, 8), &mut rng);
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicOuter::new(60, 8))
+                .run(&mut rng);
         for k in pf.procs() {
             let w = sched.worker(k);
             assert_eq!(w.a.count(), w.b.count(), "worker {k}");
@@ -156,7 +156,8 @@ mod tests {
         let pf = Platform::from_speeds(vec![3.0]);
         let mut rng = rng_for(4, 0);
         let (report, _) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, DynamicOuter::new(40, 1), &mut rng);
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicOuter::new(40, 1))
+                .run(&mut rng);
         assert_eq!(report.total_blocks, 80);
     }
 }

@@ -85,7 +85,8 @@ mod tests {
         let pf = Platform::from_speeds(vec![10.0, 30.0, 60.0]);
         let mut rng = rng_for(0, 0);
         let (report, sched) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, RandomOuter::new(20, 3), &mut rng);
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, RandomOuter::new(20, 3))
+                .run(&mut rng);
         assert_eq!(sched.remaining(), 0);
         assert_eq!(report.ledger.total_tasks(), 400);
     }
@@ -97,7 +98,8 @@ mod tests {
         let pf = Platform::homogeneous(16);
         let mut rng = rng_for(1, 0);
         let (report, _) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, RandomOuter::new(30, 16), &mut rng);
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, RandomOuter::new(30, 16))
+                .run(&mut rng);
         let lb = hetsched_platform::outer_lower_bound(30, &pf);
         assert!(
             report.normalized(lb) > 2.0,
@@ -111,7 +113,8 @@ mod tests {
         let pf = Platform::homogeneous(4);
         let mut rng = rng_for(2, 0);
         let (report, _) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, RandomOuter::new(15, 4), &mut rng);
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, RandomOuter::new(15, 4))
+                .run(&mut rng);
         assert!(report.total_blocks <= 2 * 225);
     }
 

@@ -135,7 +135,7 @@ mod tests {
         let pf = Platform::from_speeds(vec![5.0]);
         let mut rng = rng_for(1, 0);
         let (report, _) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, SortedOuter::new(n, 1), &mut rng);
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, SortedOuter::new(n, 1)).run(&mut rng);
         assert_eq!(report.total_blocks, 2 * n as u64);
     }
 
@@ -144,7 +144,8 @@ mod tests {
         let pf = Platform::from_speeds(vec![10.0, 100.0]);
         let mut rng = rng_for(2, 0);
         let (report, sched) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, SortedOuter::new(25, 2), &mut rng);
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, SortedOuter::new(25, 2))
+                .run(&mut rng);
         assert_eq!(sched.remaining(), 0);
         assert_eq!(report.ledger.total_tasks(), 625);
         // The fast worker gets the lion's share.
@@ -161,7 +162,7 @@ mod tests {
         let pf = Platform::homogeneous(p);
         let mut rng = rng_for(3, 0);
         let (report, _) =
-            hetsched_sim::run(&pf, SpeedModel::Fixed, SortedOuter::new(n, p), &mut rng);
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, SortedOuter::new(n, p)).run(&mut rng);
         assert!(report.total_blocks <= 2 * (n * n) as u64);
         assert!(report.total_blocks >= 2 * n as u64);
     }

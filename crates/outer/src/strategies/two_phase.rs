@@ -197,18 +197,11 @@ mod tests {
     fn zero_threshold_degenerates_to_pure_dynamic() {
         let pf = Platform::homogeneous(5);
         let seed_rng = || rng_for(0, 7);
-        let (two, _) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            DynamicOuter2Phases::new(30, 5, 0),
-            &mut seed_rng(),
-        );
-        let (pure, _) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            DynamicOuter::new(30, 5),
-            &mut seed_rng(),
-        );
+        let (two, _) =
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicOuter2Phases::new(30, 5, 0))
+                .run(&mut seed_rng());
+        let (pure, _) = hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicOuter::new(30, 5))
+            .run(&mut seed_rng());
         assert_eq!(two.total_blocks, pure.total_blocks);
     }
 
@@ -216,18 +209,11 @@ mod tests {
     fn full_threshold_degenerates_to_pure_random() {
         let pf = Platform::homogeneous(5);
         let seed_rng = || rng_for(1, 7);
-        let (two, _) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            DynamicOuter2Phases::new(30, 5, 900),
-            &mut seed_rng(),
-        );
-        let (pure, _) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            RandomOuter::new(30, 5),
-            &mut seed_rng(),
-        );
+        let (two, _) =
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicOuter2Phases::new(30, 5, 900))
+                .run(&mut seed_rng());
+        let (pure, _) = hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, RandomOuter::new(30, 5))
+            .run(&mut seed_rng());
         assert_eq!(two.total_blocks, pure.total_blocks);
     }
 
@@ -238,13 +224,10 @@ mod tests {
         let seed_rng = || rng_for(5, 7);
         let two = DynamicOuter2Phases::with_beta(20, 2, 0.0);
         assert_eq!(two.threshold(), 400);
-        let (two, sched) = hetsched_sim::run(&pf, SpeedModel::Fixed, two, &mut seed_rng());
-        let (pure, _) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            RandomOuter::new(20, 2),
-            &mut seed_rng(),
-        );
+        let (two, sched) =
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, two).run(&mut seed_rng());
+        let (pure, _) = hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, RandomOuter::new(20, 2))
+            .run(&mut seed_rng());
         assert_eq!(two.total_blocks, pure.total_blocks);
         assert_eq!(sched.phase1_tasks(), 0);
         assert_eq!(sched.phase2_tasks(), 400);
@@ -258,13 +241,10 @@ mod tests {
         let seed_rng = || rng_for(6, 7);
         let two = DynamicOuter2Phases::with_phase1_fraction(20, 2, 1.0);
         assert_eq!(two.threshold(), 0);
-        let (two, sched) = hetsched_sim::run(&pf, SpeedModel::Fixed, two, &mut seed_rng());
-        let (pure, _) = hetsched_sim::run(
-            &pf,
-            SpeedModel::Fixed,
-            DynamicOuter::new(20, 2),
-            &mut seed_rng(),
-        );
+        let (two, sched) =
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, two).run(&mut seed_rng());
+        let (pure, _) = hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicOuter::new(20, 2))
+            .run(&mut seed_rng());
         assert_eq!(two.total_blocks, pure.total_blocks);
         assert_eq!(sched.phase2_tasks(), 0);
         assert_eq!(sched.phase1_tasks(), 400);
@@ -288,12 +268,12 @@ mod tests {
     fn phase_accounting_is_exhaustive() {
         let pf = Platform::from_speeds(vec![20.0, 30.0, 50.0]);
         let mut rng = rng_for(2, 0);
-        let (report, sched) = hetsched_sim::run(
+        let (report, sched) = hetsched_sim::Engine::new(
             &pf,
             SpeedModel::Fixed,
             DynamicOuter2Phases::with_beta(40, 3, 4.0),
-            &mut rng,
-        );
+        )
+        .run(&mut rng);
         assert_eq!(sched.phase1_tasks() + sched.phase2_tasks(), 1600);
         assert_eq!(
             sched.phase1_blocks() + sched.phase2_blocks(),
@@ -315,18 +295,15 @@ mod tests {
         let mut dyn_sum = 0.0;
         let mut two_sum = 0.0;
         for t in 0..5u64 {
-            let (d, _) = hetsched_sim::run(
-                &pf,
-                SpeedModel::Fixed,
-                DynamicOuter::new(100, 20),
-                &mut rng_for(100 + t, 0),
-            );
-            let (w, _) = hetsched_sim::run(
+            let (d, _) =
+                hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicOuter::new(100, 20))
+                    .run(&mut rng_for(100 + t, 0));
+            let (w, _) = hetsched_sim::Engine::new(
                 &pf,
                 SpeedModel::Fixed,
                 DynamicOuter2Phases::with_beta(100, 20, 4.17),
-                &mut rng_for(100 + t, 0),
-            );
+            )
+            .run(&mut rng_for(100 + t, 0));
             dyn_sum += d.normalized(lb);
             two_sum += w.normalized(lb);
         }
@@ -340,12 +317,12 @@ mod tests {
     fn n_equals_one_works() {
         // Degenerate problem: a single task.
         let pf = Platform::homogeneous(3);
-        let (report, sched) = hetsched_sim::run(
+        let (report, sched) = hetsched_sim::Engine::new(
             &pf,
             SpeedModel::Fixed,
             DynamicOuter2Phases::with_beta(1, 3, 4.0),
-            &mut rng_for(9, 0),
-        );
+        )
+        .run(&mut rng_for(9, 0));
         assert_eq!(sched.phase1_tasks() + sched.phase2_tasks(), 1);
         assert_eq!(report.ledger.total_tasks(), 1);
         assert_eq!(report.total_blocks, 2);
@@ -356,12 +333,12 @@ mod tests {
         // p = 30 workers for a 4×4 task grid: most workers never get work,
         // but everything still completes exactly once.
         let pf = Platform::homogeneous(30);
-        let (report, _) = hetsched_sim::run(
+        let (report, _) = hetsched_sim::Engine::new(
             &pf,
             SpeedModel::Fixed,
             DynamicOuter2Phases::with_beta(4, 30, 3.0),
-            &mut rng_for(10, 0),
-        );
+        )
+        .run(&mut rng_for(10, 0));
         assert_eq!(report.ledger.total_tasks(), 16);
     }
 

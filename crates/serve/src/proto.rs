@@ -1,18 +1,13 @@
-//! The wire protocol: length-prefixed JSON frames and a minimal JSON
-//! field reader.
+//! The wire protocol: length-prefixed JSON frames, read with the shared
+//! field readers of [`hetsched_util::json`].
 //!
 //! Every message — request or reply — is one UTF-8 JSON object, prefixed
 //! by its byte length as a big-endian `u32`. The framing keeps the stream
 //! trivially parseable without a streaming JSON reader; the payloads are
 //! small, flat objects assembled by hand (the workspace vendors no JSON
 //! crate, matching the provenance manifests).
-//!
-//! The field reader ([`str_field`], [`u64_field`], [`f64_field`]) is
-//! deliberately minimal: it handles exactly the flat single-line objects
-//! this crate writes (no nesting except ignored sub-objects, `\"`-escaped
-//! strings). That is enough for the daemon's event-log replay and the
-//! client's replies, without pretending to be a general JSON parser.
 
+pub use hetsched_util::json::{f64_field, str_field, u64_field};
 use std::io::{self, Read, Write};
 
 /// Upper bound on a frame's payload, to fail fast on corrupt prefixes.
@@ -57,75 +52,9 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<String>> {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
-/// Finds the raw value slice after `"key":` in a flat JSON object, or
-/// `None` when the key is absent.
-fn raw_value<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let mut from = 0;
-    loop {
-        let at = json[from..].find(&needle)? + from;
-        // Reject matches inside string values: the byte before must be
-        // `{` or `,` (object position), possibly after whitespace.
-        let before = json[..at].trim_end();
-        if before.ends_with('{') || before.ends_with(',') || before.is_empty() {
-            let rest = json[at + needle.len()..].trim_start();
-            return Some(rest);
-        }
-        from = at + needle.len();
-    }
-}
-
-/// Reads a string field, undoing the escapes [`json_escape`] produces
-/// (`\"`, `\\`, `\n`, `\r`, `\t`, `\u00XX`).
-///
-/// [`json_escape`]: hetsched_core::provenance::json_escape
-pub fn str_field(json: &str, key: &str) -> Option<String> {
-    let rest = raw_value(json, key)?;
-    let rest = rest.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                other => out.push(other),
-            },
-            other => out.push(other),
-        }
-    }
-    None
-}
-
-/// Reads an unsigned integer field.
-pub fn u64_field(json: &str, key: &str) -> Option<u64> {
-    let rest = raw_value(json, key)?;
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Reads a floating-point field (accepts integer literals too).
-pub fn f64_field(json: &str, key: &str) -> Option<f64> {
-    let rest = raw_value(json, key)?;
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetsched_core::provenance::json_escape;
 
     #[test]
     fn frames_round_trip() {
@@ -143,25 +72,5 @@ mod tests {
         let mut buf: Vec<u8> = Vec::new();
         buf.extend((MAX_FRAME + 1).to_be_bytes());
         assert!(read_frame(&mut &buf[..]).is_err());
-    }
-
-    #[test]
-    fn fields_extract_and_unescape() {
-        let spec = "n=10 p=4 name=\"quoted\"";
-        let line = format!(
-            r#"{{"event":"submitted","job":7,"spec":"{}","predicted":12.5}}"#,
-            json_escape(spec)
-        );
-        assert_eq!(str_field(&line, "event").unwrap(), "submitted");
-        assert_eq!(str_field(&line, "spec").unwrap(), spec);
-        assert_eq!(u64_field(&line, "job"), Some(7));
-        assert_eq!(f64_field(&line, "predicted"), Some(12.5));
-        assert_eq!(str_field(&line, "missing"), None);
-    }
-
-    #[test]
-    fn key_lookalikes_inside_strings_are_skipped() {
-        let line = r#"{"note":"fake \"job\": 9 here","job":3}"#;
-        assert_eq!(u64_field(line, "job"), Some(3));
     }
 }

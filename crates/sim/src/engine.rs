@@ -38,7 +38,7 @@ pub struct SimReport {
     /// under [`NetworkModel::Infinite`]).
     pub wasted_blocks: u64,
     /// Blocks shipped over root → sub-master links by the hierarchical tree
-    /// topology ([`crate::tree::run_tree`]). Always zero on the flat
+    /// topology ([`crate::tree::run_tree_with`]). Always zero on the flat
     /// topology and for a single-sub-master tree; counted in
     /// [`total_blocks`](Self::total_blocks) but not in the per-worker
     /// ledger.
@@ -146,6 +146,34 @@ impl<'a, S: Scheduler> Engine<'a, S> {
     /// All workers request at `t = 0` in a random order — the paper's
     /// strategies are demand driven and the initial service order is an
     /// artifact of the platform, so it is randomized under the run's seed.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hetsched_platform::{Platform, SpeedModel};
+    /// use hetsched_sim::Engine;
+    /// use hetsched_util::rng::rng_for;
+    /// # use hetsched_sim::{Allocation, Scheduler};
+    /// # use hetsched_platform::ProcId;
+    /// # struct Chunks(usize);
+    /// # impl Scheduler for Chunks {
+    /// #     fn on_request(&mut self, _: ProcId, _: &mut rand::rngs::StdRng, out: &mut Vec<u32>) -> Allocation {
+    /// #         let t = self.0.min(4); self.0 -= t;
+    /// #         out.extend((self.0 as u32)..(self.0 + t) as u32);
+    /// #         Allocation { tasks: t, blocks: t as u64 }
+    /// #     }
+    /// #     fn remaining(&self) -> usize { self.0 }
+    /// #     fn total_tasks(&self) -> usize { 100 }
+    /// #     fn name(&self) -> &'static str { "chunks" }
+    /// # }
+    ///
+    /// let platform = Platform::from_speeds(vec![25.0, 75.0]);
+    /// let (report, _) =
+    ///     Engine::new(&platform, SpeedModel::Fixed, Chunks(100)).run(&mut rng_for(0, 0));
+    /// assert_eq!(report.ledger.total_tasks(), 100);
+    /// // Demand driven ⇒ work conserving: makespan ≈ work / Σspeed.
+    /// assert!((report.makespan - 1.0).abs() < 0.2);
+    /// ```
     pub fn run(self, rng: &mut StdRng) -> (SimReport, S) {
         let (report, scheduler, _) = self.run_impl(rng, None::<&mut Recorder>);
         (report, scheduler)
@@ -397,134 +425,6 @@ impl<'a, S: Scheduler> Engine<'a, S> {
     }
 }
 
-/// One-shot convenience with trace recording.
-pub fn run_traced<S: Scheduler>(
-    platform: &Platform,
-    model: SpeedModel,
-    scheduler: S,
-    rng: &mut StdRng,
-) -> (SimReport, S, Trace) {
-    Engine::new(platform, model, scheduler).run_traced(rng)
-}
-
-/// One-shot convenience: build, run, report.
-///
-/// # Examples
-///
-/// ```
-/// use hetsched_platform::{Platform, SpeedModel};
-/// use hetsched_util::rng::rng_for;
-/// # use hetsched_sim::{Allocation, Scheduler};
-/// # use hetsched_platform::ProcId;
-/// # struct Chunks(usize);
-/// # impl Scheduler for Chunks {
-/// #     fn on_request(&mut self, _: ProcId, _: &mut rand::rngs::StdRng, out: &mut Vec<u32>) -> Allocation {
-/// #         let t = self.0.min(4); self.0 -= t;
-/// #         out.extend((self.0 as u32)..(self.0 + t) as u32);
-/// #         Allocation { tasks: t, blocks: t as u64 }
-/// #     }
-/// #     fn remaining(&self) -> usize { self.0 }
-/// #     fn total_tasks(&self) -> usize { 100 }
-/// #     fn name(&self) -> &'static str { "chunks" }
-/// # }
-///
-/// let platform = Platform::from_speeds(vec![25.0, 75.0]);
-/// let (report, _) = hetsched_sim::run(
-///     &platform,
-///     SpeedModel::Fixed,
-///     Chunks(100),
-///     &mut rng_for(0, 0),
-/// );
-/// assert_eq!(report.ledger.total_tasks(), 100);
-/// // Demand driven ⇒ work conserving: makespan ≈ work / Σspeed.
-/// assert!((report.makespan - 1.0).abs() < 0.2);
-/// ```
-pub fn run<S: Scheduler>(
-    platform: &Platform,
-    model: SpeedModel,
-    scheduler: S,
-    rng: &mut StdRng,
-) -> (SimReport, S) {
-    Engine::new(platform, model, scheduler).run(rng)
-}
-
-/// One-shot convenience with fault injection. With
-/// [`FailureModel::none`] this is exactly [`run`].
-pub fn run_with_failures<S: Scheduler>(
-    platform: &Platform,
-    model: SpeedModel,
-    scheduler: S,
-    failures: &FailureModel,
-    rng: &mut StdRng,
-) -> (SimReport, S) {
-    Engine::new(platform, model, scheduler)
-        .with_failures(failures)
-        .run(rng)
-}
-
-/// One-shot convenience with fault injection and trace recording.
-pub fn run_traced_with_failures<S: Scheduler>(
-    platform: &Platform,
-    model: SpeedModel,
-    scheduler: S,
-    failures: &FailureModel,
-    rng: &mut StdRng,
-) -> (SimReport, S, Trace) {
-    Engine::new(platform, model, scheduler)
-        .with_failures(failures)
-        .run_traced(rng)
-}
-
-/// One-shot convenience with both fault injection and a network model. With
-/// [`FailureModel::none`] and [`NetworkModel::Infinite`] this is exactly
-/// [`run`].
-pub fn run_configured<S: Scheduler>(
-    platform: &Platform,
-    model: SpeedModel,
-    scheduler: S,
-    failures: &FailureModel,
-    network: NetworkModel,
-    rng: &mut StdRng,
-) -> (SimReport, S) {
-    Engine::new(platform, model, scheduler)
-        .with_failures(failures)
-        .with_network(network)
-        .run(rng)
-}
-
-/// One-shot convenience: faults + network + a caller-owned [`Recorder`]
-/// (trace plus probe samples), buffered or
-/// [streaming](Recorder::streaming).
-pub fn run_configured_recorded<S: Scheduler, K: StreamingSink>(
-    platform: &Platform,
-    model: SpeedModel,
-    scheduler: S,
-    failures: &FailureModel,
-    network: NetworkModel,
-    rng: &mut StdRng,
-    rec: &mut Recorder<K>,
-) -> (SimReport, S) {
-    Engine::new(platform, model, scheduler)
-        .with_failures(failures)
-        .with_network(network)
-        .run_recorded(rng, rec)
-}
-
-/// One-shot convenience: faults + network + trace.
-pub fn run_configured_traced<S: Scheduler>(
-    platform: &Platform,
-    model: SpeedModel,
-    scheduler: S,
-    failures: &FailureModel,
-    network: NetworkModel,
-    rng: &mut StdRng,
-) -> (SimReport, S, Trace) {
-    Engine::new(platform, model, scheduler)
-        .with_failures(failures)
-        .with_network(network)
-        .run_traced(rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -571,7 +471,7 @@ mod tests {
     fn all_tasks_get_done() {
         let pf = Platform::from_speeds(vec![10.0, 20.0, 70.0]);
         let mut rng = rng_for(0, 0);
-        let (report, sched) = run(&pf, SpeedModel::Fixed, toy(1000, 10), &mut rng);
+        let (report, sched) = Engine::new(&pf, SpeedModel::Fixed, toy(1000, 10)).run(&mut rng);
         assert_eq!(sched.remaining(), 0);
         assert_eq!(report.ledger.total_tasks(), 1000);
         assert_eq!(report.total_blocks, 1000);
@@ -581,7 +481,7 @@ mod tests {
     fn faster_processors_do_proportionally_more() {
         let pf = Platform::from_speeds(vec![10.0, 90.0]);
         let mut rng = rng_for(1, 0);
-        let (report, _) = run(&pf, SpeedModel::Fixed, toy(10_000, 1), &mut rng);
+        let (report, _) = Engine::new(&pf, SpeedModel::Fixed, toy(10_000, 1)).run(&mut rng);
         let t0 = report.ledger.tasks(ProcId(0)) as f64;
         let t1 = report.ledger.tasks(ProcId(1)) as f64;
         // Demand-driven: shares track relative speeds (0.1 / 0.9).
@@ -595,7 +495,7 @@ mod tests {
         // work conserving, so makespan ≈ total_tasks / Σ s_i, up to one task.
         let pf = Platform::from_speeds(vec![25.0, 75.0]);
         let mut rng = rng_for(2, 0);
-        let (report, _) = run(&pf, SpeedModel::Fixed, toy(5000, 1), &mut rng);
+        let (report, _) = Engine::new(&pf, SpeedModel::Fixed, toy(5000, 1)).run(&mut rng);
         let ideal = 5000.0 / 100.0;
         assert!(
             (report.makespan - ideal).abs() < 2.0 / 25.0,
@@ -613,7 +513,7 @@ mod tests {
         // *slowest* worker.
         let pf = Platform::from_speeds(vec![10.0, 40.0, 50.0]);
         let mut rng = rng_for(3, 0);
-        let (report, _) = run(&pf, SpeedModel::Fixed, toy(2000, 7), &mut rng);
+        let (report, _) = Engine::new(&pf, SpeedModel::Fixed, toy(2000, 7)).run(&mut rng);
         let slowest_batch = 7.0 / 10.0;
         for k in pf.procs() {
             let slack = report.makespan - report.ledger.busy(k);
@@ -627,8 +527,8 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let pf = Platform::from_speeds(vec![10.0, 20.0, 30.0]);
-        let (r1, _) = run(&pf, SpeedModel::Fixed, toy(500, 3), &mut rng_for(7, 0));
-        let (r2, _) = run(&pf, SpeedModel::Fixed, toy(500, 3), &mut rng_for(7, 0));
+        let (r1, _) = Engine::new(&pf, SpeedModel::Fixed, toy(500, 3)).run(&mut rng_for(7, 0));
+        let (r2, _) = Engine::new(&pf, SpeedModel::Fixed, toy(500, 3)).run(&mut rng_for(7, 0));
         assert_eq!(r1.total_blocks, r2.total_blocks);
         assert_eq!(r1.ledger.tasks_per_proc(), r2.ledger.tasks_per_proc());
         assert_eq!(r1.makespan, r2.makespan);
@@ -638,7 +538,7 @@ mod tests {
     fn dynamic_speeds_complete_all_work() {
         let pf = Platform::from_speeds(vec![100.0, 100.0]);
         let mut rng = rng_for(8, 0);
-        let (report, _) = run(&pf, SpeedModel::dyn20(), toy(3000, 5), &mut rng);
+        let (report, _) = Engine::new(&pf, SpeedModel::dyn20(), toy(3000, 5)).run(&mut rng);
         assert_eq!(report.ledger.total_tasks(), 3000);
         assert!(report.makespan > 0.0);
     }
@@ -647,7 +547,7 @@ mod tests {
     fn normalized_report() {
         let pf = Platform::homogeneous(4);
         let mut rng = rng_for(9, 0);
-        let (report, _) = run(&pf, SpeedModel::Fixed, toy(100, 1), &mut rng);
+        let (report, _) = Engine::new(&pf, SpeedModel::Fixed, toy(100, 1)).run(&mut rng);
         assert!((report.normalized(50.0) - 2.0).abs() < 1e-12);
     }
 
@@ -655,7 +555,7 @@ mod tests {
     fn single_worker_platform() {
         let pf = Platform::from_speeds(vec![7.0]);
         let mut rng = rng_for(10, 0);
-        let (report, _) = run(&pf, SpeedModel::Fixed, toy(49, 6), &mut rng);
+        let (report, _) = Engine::new(&pf, SpeedModel::Fixed, toy(49, 6)).run(&mut rng);
         assert_eq!(report.ledger.tasks(ProcId(0)), 49);
         assert!((report.makespan - 7.0).abs() < 1e-9);
     }
@@ -713,14 +613,11 @@ mod tests {
     #[test]
     fn no_failures_is_bit_for_bit_identical() {
         let pf = Platform::from_speeds(vec![10.0, 20.0, 70.0]);
-        let (plain, _) = run(&pf, SpeedModel::dyn5(), pool(600, 4), &mut rng_for(11, 0));
-        let (faulty, _) = run_with_failures(
-            &pf,
-            SpeedModel::dyn5(),
-            pool(600, 4),
-            &FailureModel::none(),
-            &mut rng_for(11, 0),
-        );
+        let (plain, _) =
+            Engine::new(&pf, SpeedModel::dyn5(), pool(600, 4)).run(&mut rng_for(11, 0));
+        let (faulty, _) = Engine::new(&pf, SpeedModel::dyn5(), pool(600, 4))
+            .with_failures(&FailureModel::none())
+            .run(&mut rng_for(11, 0));
         assert_eq!(plain.total_blocks, faulty.total_blocks);
         assert_eq!(
             plain.ledger.tasks_per_proc(),
@@ -735,13 +632,9 @@ mod tests {
     fn failed_worker_batch_is_reallocated_exactly_once() {
         let pf = Platform::from_speeds(vec![10.0, 10.0]);
         let failures = FailureModel::none().fail_at(ProcId(0), 1.2);
-        let (report, sched) = run_with_failures(
-            &pf,
-            SpeedModel::Fixed,
-            pool(100, 5),
-            &failures,
-            &mut rng_for(12, 0),
-        );
+        let (report, sched) = Engine::new(&pf, SpeedModel::Fixed, pool(100, 5))
+            .with_failures(&failures)
+            .run(&mut rng_for(12, 0));
         // Worker 0 dies mid-batch: its 5 in-flight tasks are lost, returned
         // to the pool, and completed elsewhere.
         assert_eq!(report.lost_tasks, 5);
@@ -763,13 +656,9 @@ mod tests {
         // pool. The engine must bring it back to pick those up.
         let pf = Platform::from_speeds(vec![1.0, 100.0]);
         let failures = FailureModel::none().fail_at(ProcId(0), 5.0);
-        let (report, sched) = run_with_failures(
-            &pf,
-            SpeedModel::Fixed,
-            pool(20, 10),
-            &failures,
-            &mut rng_for(13, 0),
-        );
+        let (report, sched) = Engine::new(&pf, SpeedModel::Fixed, pool(20, 10))
+            .with_failures(&failures)
+            .run(&mut rng_for(13, 0));
         assert_eq!(report.lost_tasks, 10);
         assert_eq!(report.ledger.total_tasks(), 20);
         assert_eq!(report.ledger.tasks(ProcId(1)), 20);
@@ -782,13 +671,9 @@ mod tests {
     fn straggler_shifts_load_without_losing_tasks() {
         let pf = Platform::from_speeds(vec![10.0, 10.0]);
         let failures = FailureModel::none().slow_down(ProcId(0), 4.0);
-        let (report, _) = run_with_failures(
-            &pf,
-            SpeedModel::Fixed,
-            pool(1000, 1),
-            &failures,
-            &mut rng_for(14, 0),
-        );
+        let (report, _) = Engine::new(&pf, SpeedModel::Fixed, pool(1000, 1))
+            .with_failures(&failures)
+            .run(&mut rng_for(14, 0));
         assert_eq!(report.lost_tasks, 0);
         assert_eq!(report.ledger.total_tasks(), 1000);
         let t0 = report.ledger.tasks(ProcId(0)) as f64;
@@ -803,14 +688,10 @@ mod tests {
             .fail_at(ProcId(2), 0.7)
             .slow_down(ProcId(0), 2.0);
         let go = || {
-            run_with_failures(
-                &pf,
-                SpeedModel::dyn5(),
-                pool(800, 3),
-                &failures,
-                &mut rng_for(15, 0),
-            )
-            .0
+            Engine::new(&pf, SpeedModel::dyn5(), pool(800, 3))
+                .with_failures(&failures)
+                .run(&mut rng_for(15, 0))
+                .0
         };
         let (r1, r2) = (go(), go());
         assert_eq!(r1.total_blocks, r2.total_blocks);
@@ -881,7 +762,7 @@ mod tests {
     fn recorded_run_matches_plain_run_and_probes_anchor() {
         use crate::probe::{ProbeConfig, Recorder};
         let pf = Platform::from_speeds(vec![10.0, 30.0]);
-        let (plain, _) = run(&pf, SpeedModel::Fixed, toy(400, 4), &mut rng_for(17, 0));
+        let (plain, _) = Engine::new(&pf, SpeedModel::Fixed, toy(400, 4)).run(&mut rng_for(17, 0));
         let mut rec = Recorder::new(ProbeConfig::by_events(10));
         let (probed, _) = Engine::new(&pf, SpeedModel::Fixed, toy(400, 4))
             .run_recorded(&mut rng_for(17, 0), &mut rec);

@@ -1,57 +1,57 @@
 //! The simulation event queue.
 //!
-//! Two implementations live here behind the same API:
-//!
-//! * [`EventQueue`] — a binary min-heap, the engine's queue.
-//! * [`FlatScanQueue`] — a flat vector scanned linearly for the minimum on
-//!   every pop, kept as the head-to-head comparator in
-//!   `crates/bench/benches/engine_bench.rs`. The hypothesis was that with
-//!   the queue never holding more than ~`p + 1` entries an O(len) scan over
-//!   a contiguous buffer would beat heap sift-up/sift-down; the bench
-//!   (`event_queue/*`, `engine_requests/*`) says it only does so up to
-//!   `p ≈ 50` and loses badly at `p = 300`, so the heap stays. Both are
-//!   allocation-free once warm (`BinaryHeap` reuses its buffer).
-//!
-//! Both pop the strict minimum of `(t, seq)`; `seq` is unique, so the pop
-//! order — and therefore every simulation result — is bit-for-bit identical
-//! between the two.
+//! A binary min-heap keyed by `(time, seq)`. The monotonically increasing
+//! `seq` makes simultaneous events FIFO and the whole simulation
+//! deterministic for a given seed (important: all `p` workers are ready at
+//! `t = 0`). The heap is allocation-free once warm (`BinaryHeap` reuses its
+//! buffer). A flat min-scan queue was benchmarked against it and rejected:
+//! it loses beyond `p ≈ 50` (EXPERIMENTS.md keeps the record).
 
 use hetsched_platform::ProcId;
 use hetsched_util::OrderedF64;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A min-queue of *worker ready* events.
+/// A min-queue of timed events carrying a payload `T`.
 ///
-/// Only one event kind exists in this model — "worker `k` finished its batch
-/// at time `t` and requests work" — so the queue stores `(t, seq, k)`
-/// directly. The monotonically increasing `seq` makes simultaneous events
-/// FIFO and the whole simulation deterministic for a given seed (important:
-/// all `p` workers are ready at `t = 0`).
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Reverse<(OrderedF64, u64, ProcId)>>,
+/// The infinite-network engine has a single event kind — "worker `k`
+/// finished its batch at time `t` and requests work" — so its payload is
+/// the [`ProcId`] alone; the networked engine pairs the worker with an
+/// event kind. `seq` is unique, so the payload never takes part in the
+/// ordering.
+#[derive(Debug)]
+pub struct EventQueue<T = ProcId> {
+    heap: BinaryHeap<Reverse<(OrderedF64, u64, T)>>,
     seq: u64,
 }
 
-impl EventQueue {
-    /// Empty queue.
-    pub fn new() -> Self {
+impl<T: Ord> Default for EventQueue<T> {
+    fn default() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
             seq: 0,
         }
     }
+}
 
-    /// Schedules worker `k` to request work at time `t`.
-    pub fn push(&mut self, t: f64, k: ProcId) {
-        self.heap.push(Reverse((OrderedF64::new(t), self.seq, k)));
+impl<T: Ord> EventQueue<T> {
+    /// Empty queue.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Schedules `event` at time `t`.
+    pub fn push(&mut self, t: f64, event: T) {
+        self.heap
+            .push(Reverse((OrderedF64::new(t), self.seq, event)));
         self.seq += 1;
     }
 
-    /// Pops the earliest request, if any (FIFO among simultaneous events).
-    pub fn pop(&mut self) -> Option<(f64, ProcId)> {
-        self.heap.pop().map(|Reverse((t, _, k))| (t.get(), k))
+    /// Pops the earliest event, if any (FIFO among simultaneous events).
+    pub fn pop(&mut self) -> Option<(f64, T)> {
+        self.heap
+            .pop()
+            .map(|Reverse((t, _, event))| (t.get(), event))
     }
 
     /// Number of pending events.
@@ -62,60 +62,6 @@ impl EventQueue {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-}
-
-/// Flat-vector min-scan queue, API-identical to [`EventQueue`].
-///
-/// Pop does a linear scan for the smallest `(t, seq)` and `swap_remove`s
-/// it. Cheaper than the heap for very small queues (roughly `p ≤ 50` in
-/// `engine_bench`), O(p) per pop beyond that — which is why it is the
-/// benchmark comparator rather than the engine's queue.
-#[derive(Debug, Default)]
-pub struct FlatScanQueue {
-    slots: Vec<(OrderedF64, u64, ProcId)>,
-    seq: u64,
-}
-
-impl FlatScanQueue {
-    /// Empty queue.
-    pub fn new() -> Self {
-        FlatScanQueue {
-            slots: Vec::new(),
-            seq: 0,
-        }
-    }
-
-    /// Schedules worker `k` to request work at time `t`.
-    pub fn push(&mut self, t: f64, k: ProcId) {
-        self.slots.push((OrderedF64::new(t), self.seq, k));
-        self.seq += 1;
-    }
-
-    /// Pops the earliest request, if any (FIFO among simultaneous events).
-    pub fn pop(&mut self) -> Option<(f64, ProcId)> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mut best = 0;
-        for i in 1..self.slots.len() {
-            // seq values are unique, so (t, seq) is a strict total order.
-            if (self.slots[i].0, self.slots[i].1) < (self.slots[best].0, self.slots[best].1) {
-                best = i;
-            }
-        }
-        let (t, _, k) = self.slots.swap_remove(best);
-        Some((t.get(), k))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 }
 
@@ -168,39 +114,5 @@ mod tests {
         q.push(5.5, ProcId(3));
         assert_eq!(q.pop(), Some((5.5, ProcId(3))));
         assert_eq!(q.pop(), Some((6.0, ProcId(2))));
-    }
-
-    #[test]
-    fn flat_and_heap_queues_agree_on_random_workload() {
-        // Drive both queues through an identical interleaved push/pop
-        // sequence (deterministic pseudo-random times, including exact
-        // ties) and require identical pop streams.
-        let mut flat = FlatScanQueue::new();
-        let mut heap = EventQueue::new();
-        let mut state = 0x9E37_79B9u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        for round in 0..200u32 {
-            for i in 0..3u32 {
-                // Coarse grid so ties actually happen.
-                let t = (next() % 16) as f64;
-                flat.push(t, ProcId(round * 3 + i));
-                heap.push(t, ProcId(round * 3 + i));
-            }
-            if round % 2 == 0 {
-                assert_eq!(flat.pop(), heap.pop());
-            }
-        }
-        loop {
-            let (a, b) = (flat.pop(), heap.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 }

@@ -61,11 +61,8 @@ pub mod topology;
 pub mod trace;
 pub mod tree;
 
-pub use engine::{
-    run, run_configured, run_configured_recorded, run_configured_traced, run_traced,
-    run_traced_with_failures, run_with_failures, Engine, SimReport,
-};
-pub use event::{EventQueue, FlatScanQueue};
+pub use engine::{Engine, SimReport};
+pub use event::EventQueue;
 pub use hetsched_net::NetworkModel;
 pub use metrics::CommLedger;
 pub use probe::{ProbeConfig, ProbeIter, ProbeSample, ProbeSeries, Recorder};
@@ -73,4 +70,4 @@ pub use scheduler::{Allocation, Scheduler};
 pub use sink::{ChromeStream, JsonlStream, NullSink, StreamingSink};
 pub use topology::Topology;
 pub use trace::{EventKind, Trace, TraceEvent};
-pub use tree::{run_tree, run_tree_with, ShardSpec, TreeOpts, TreeOutcome};
+pub use tree::{run_tree_with, ShardSpec, TreeOpts, TreeOutcome};

@@ -39,17 +39,16 @@
 //! `Vec<Vec<u32>>` free list could.
 
 use crate::engine::{Engine, SimReport};
+use crate::event::EventQueue;
 use crate::probe::Recorder;
 use crate::scheduler::Scheduler;
 use crate::sink::StreamingSink;
 use crate::trace::{EventKind, TraceEvent};
 use hetsched_net::NetState;
 use hetsched_platform::ProcId;
-use hetsched_util::OrderedF64;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::HashSet;
 
 /// A worker's failure is discovered.
 const DEATH: u8 = 0;
@@ -59,30 +58,6 @@ const ARRIVE: u8 = 1;
 const DONE: u8 = 2;
 /// A parked worker re-checks the (possibly replenished) task pool.
 const RETRY: u8 = 3;
-
-/// Min-heap of `(time, kind, worker)` events; the monotone sequence number
-/// makes simultaneous events FIFO. `Death` events are pushed first and so
-/// carry the lowest sequence numbers: at time `f` a death pops before any
-/// same-time arrival or retry.
-#[derive(Default)]
-struct NetQueue {
-    heap: BinaryHeap<Reverse<(OrderedF64, u64, u8, ProcId)>>,
-    seq: u64,
-}
-
-impl NetQueue {
-    fn push(&mut self, t: f64, kind: u8, k: ProcId) {
-        self.heap
-            .push(Reverse((OrderedF64::new(t), self.seq, kind, k)));
-        self.seq += 1;
-    }
-
-    fn pop(&mut self) -> Option<(f64, u8, ProcId)> {
-        self.heap
-            .pop()
-            .map(|Reverse((t, _, kind, k))| (t.get(), kind, k))
-    }
-}
 
 /// Handle to a run of task ids in the [`IdArena`]: `start..start+len` are
 /// the live ids; `cap >= len` is the slot's reusable capacity (a freed
@@ -295,7 +270,10 @@ struct RunState {
     scratch: Vec<u32>,
     /// Reusable span buffer for compaction sweeps.
     gather: Vec<Span>,
-    q: NetQueue,
+    /// `(kind, worker)` events. `Death` events are pushed first and so
+    /// carry the lowest sequence numbers: at time `f` a death pops before
+    /// any same-time arrival or retry.
+    q: EventQueue<(u8, ProcId)>,
     net: NetState,
 }
 
@@ -366,7 +344,7 @@ impl<'a, S: Scheduler> Engine<'a, S> {
             arena: IdArena::default(),
             scratch: Vec::new(),
             gather: Vec::new(),
-            q: NetQueue::default(),
+            q: EventQueue::new(),
             net: {
                 let net = NetState::new(self.network, p, self.platform.link_latencies().to_vec());
                 match self.platform.link_bandwidths() {
@@ -381,7 +359,7 @@ impl<'a, S: Scheduler> Engine<'a, S> {
         // exactly at their time.
         for k in self.platform.procs() {
             if let Some(f) = st.fail_time[k.idx()] {
-                st.q.push(f, DEATH, k);
+                st.q.push(f, (DEATH, k));
             }
         }
 
@@ -401,7 +379,7 @@ impl<'a, S: Scheduler> Engine<'a, S> {
             self.net_request(&mut st, k, 0.0, rng, &mut rec);
         }
 
-        while let Some((now, kind, k)) = st.q.pop() {
+        while let Some((now, (kind, k))) = st.q.pop() {
             let i = k.idx();
             match kind {
                 DEATH => {
@@ -571,7 +549,7 @@ impl<'a, S: Scheduler> Engine<'a, S> {
                 .filter(|&f| f >= now)
                 .fold(f64::INFINITY, f64::min);
             if earliest.is_finite() {
-                st.q.push(earliest.max(now), RETRY, k);
+                st.q.push(earliest.max(now), (RETRY, k));
             }
             return;
         }
@@ -645,7 +623,7 @@ impl<'a, S: Scheduler> Engine<'a, S> {
         }
         let span = st.arena.store(&st.scratch);
         st.pending.put(i, alloc.tasks as u32, alloc.blocks, span);
-        st.q.push(plan.arrival, ARRIVE, k);
+        st.q.push(plan.arrival, (ARRIVE, k));
     }
 
     /// Starts computing an arrived batch at time `now`, charging the
@@ -729,7 +707,7 @@ impl<'a, S: Scheduler> Engine<'a, S> {
                 self.makespan = self.makespan.max(finish);
                 st.computing[i] = true;
                 st.done_tasks[i] = tasks;
-                st.q.push(finish, DONE, k);
+                st.q.push(finish, (DONE, k));
                 // The batch is fully accounted; its arena slot frees up.
                 st.arena.release(span);
             }
@@ -743,7 +721,7 @@ impl<'a, S: Scheduler> Engine<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::{IdArena, Span, ARENA_RETAIN_MIN};
-    use crate::engine::{run, run_configured};
+    use crate::engine::Engine;
     use crate::scheduler::{Allocation, Scheduler};
     use hetsched_net::NetworkModel;
     use hetsched_platform::{FailureModel, Platform, ProcId, SpeedModel};
@@ -878,14 +856,10 @@ mod tests {
     #[test]
     fn networked_run_completes_all_tasks() {
         let pf = Platform::from_speeds(vec![10.0, 20.0, 70.0]);
-        let (report, sched) = run_configured(
-            &pf,
-            SpeedModel::Fixed,
-            pool(600, 4),
-            &FailureModel::none(),
-            one_port(50.0),
-            &mut rng_for(0, 0),
-        );
+        let (report, sched) = Engine::new(&pf, SpeedModel::Fixed, pool(600, 4))
+            .with_failures(&FailureModel::none())
+            .with_network(one_port(50.0))
+            .run(&mut rng_for(0, 0));
         assert_eq!(sched.remaining(), 0);
         assert_eq!(report.ledger.total_tasks(), 600);
         assert_eq!(report.total_blocks, 600);
@@ -896,15 +870,11 @@ mod tests {
     fn networked_is_deterministic_under_seed() {
         let pf = Platform::from_speeds(vec![10.0, 20.0, 30.0]);
         let go = || {
-            run_configured(
-                &pf,
-                SpeedModel::dyn5(),
-                pool(500, 3),
-                &FailureModel::none(),
-                one_port(25.0),
-                &mut rng_for(7, 0),
-            )
-            .0
+            Engine::new(&pf, SpeedModel::dyn5(), pool(500, 3))
+                .with_failures(&FailureModel::none())
+                .with_network(one_port(25.0))
+                .run(&mut rng_for(7, 0))
+                .0
         };
         let (r1, r2) = (go(), go());
         assert_eq!(r1.total_blocks, r2.total_blocks);
@@ -920,14 +890,10 @@ mod tests {
         // beat total_blocks / master_bw.
         let pf = Platform::from_speeds(vec![40.0, 60.0]);
         let bw = 10.0;
-        let (report, _) = run_configured(
-            &pf,
-            SpeedModel::Fixed,
-            pool(400, 5),
-            &FailureModel::none(),
-            one_port(bw),
-            &mut rng_for(1, 0),
-        );
+        let (report, _) = Engine::new(&pf, SpeedModel::Fixed, pool(400, 5))
+            .with_failures(&FailureModel::none())
+            .with_network(one_port(bw))
+            .run(&mut rng_for(1, 0));
         let comm_lb = report.total_blocks as f64 / bw;
         assert!(
             report.makespan >= comm_lb - 1e-9,
@@ -944,15 +910,11 @@ mod tests {
     #[test]
     fn generous_bandwidth_approaches_the_infinite_makespan() {
         let pf = Platform::from_speeds(vec![25.0, 75.0]);
-        let (inf, _) = run(&pf, SpeedModel::Fixed, pool(500, 5), &mut rng_for(2, 0));
-        let (fat, _) = run_configured(
-            &pf,
-            SpeedModel::Fixed,
-            pool(500, 5),
-            &FailureModel::none(),
-            one_port(1e6),
-            &mut rng_for(2, 0),
-        );
+        let (inf, _) = Engine::new(&pf, SpeedModel::Fixed, pool(500, 5)).run(&mut rng_for(2, 0));
+        let (fat, _) = Engine::new(&pf, SpeedModel::Fixed, pool(500, 5))
+            .with_failures(&FailureModel::none())
+            .with_network(one_port(1e6))
+            .run(&mut rng_for(2, 0));
         // With an effectively free link, the only slowdown left is the
         // initial (un-overlapped) transfer of the first batches.
         assert!(
@@ -968,16 +930,12 @@ mod tests {
     fn tighter_bandwidth_never_helps() {
         let pf = Platform::from_speeds(vec![30.0, 70.0]);
         let mk = |bw: f64| {
-            run_configured(
-                &pf,
-                SpeedModel::Fixed,
-                pool(300, 4),
-                &FailureModel::none(),
-                one_port(bw),
-                &mut rng_for(3, 0),
-            )
-            .0
-            .makespan
+            Engine::new(&pf, SpeedModel::Fixed, pool(300, 4))
+                .with_failures(&FailureModel::none())
+                .with_network(one_port(bw))
+                .run(&mut rng_for(3, 0))
+                .0
+                .makespan
         };
         assert!(mk(5.0) >= mk(20.0) - 1e-9);
         assert!(mk(20.0) >= mk(100.0) - 1e-9);
@@ -988,16 +946,12 @@ mod tests {
         let pf = Platform::from_speeds(vec![50.0, 50.0]);
         let lagged = pf.clone().with_uniform_link_latency(0.5);
         let mk = |p: &Platform| {
-            run_configured(
-                p,
-                SpeedModel::Fixed,
-                pool(100, 10),
-                &FailureModel::none(),
-                one_port(200.0),
-                &mut rng_for(4, 0),
-            )
-            .0
-            .makespan
+            Engine::new(p, SpeedModel::Fixed, pool(100, 10))
+                .with_failures(&FailureModel::none())
+                .with_network(one_port(200.0))
+                .run(&mut rng_for(4, 0))
+                .0
+                .makespan
         };
         assert!(mk(&lagged) > mk(&pf) + 0.4, "latency must show up");
     }
@@ -1009,15 +963,11 @@ mod tests {
         // serial phases shrink.
         let pf = Platform::from_speeds(vec![20.0, 20.0, 20.0, 20.0]);
         let run_with = |net: NetworkModel| {
-            run_configured(
-                &pf,
-                SpeedModel::Fixed,
-                pool(400, 5),
-                &FailureModel::none(),
-                net,
-                &mut rng_for(5, 0),
-            )
-            .0
+            Engine::new(&pf, SpeedModel::Fixed, pool(400, 5))
+                .with_failures(&FailureModel::none())
+                .with_network(net)
+                .run(&mut rng_for(5, 0))
+                .0
         };
         let one = run_with(one_port(40.0));
         let multi = run_with(NetworkModel::BoundedMultiport {
@@ -1038,14 +988,10 @@ mod tests {
         // so some blocks are shipped but never computed on.
         let pf = Platform::from_speeds(vec![10.0, 10.0]);
         let failures = FailureModel::none().fail_at(ProcId(0), 1.0);
-        let (report, sched) = run_configured(
-            &pf,
-            SpeedModel::Fixed,
-            pool(100, 5),
-            &failures,
-            one_port(8.0),
-            &mut rng_for(6, 0),
-        );
+        let (report, sched) = Engine::new(&pf, SpeedModel::Fixed, pool(100, 5))
+            .with_failures(&failures)
+            .with_network(one_port(8.0))
+            .run(&mut rng_for(6, 0));
         assert_eq!(report.ledger.total_tasks(), 100);
         assert!(
             sched.counts.iter().all(|&c| c == 1),
@@ -1069,14 +1015,10 @@ mod tests {
     fn straggler_and_network_compose() {
         let pf = Platform::from_speeds(vec![10.0, 10.0]);
         let failures = FailureModel::none().slow_down(ProcId(0), 4.0);
-        let (report, _) = run_configured(
-            &pf,
-            SpeedModel::Fixed,
-            pool(600, 2),
-            &failures,
-            one_port(100.0),
-            &mut rng_for(8, 0),
-        );
+        let (report, _) = Engine::new(&pf, SpeedModel::Fixed, pool(600, 2))
+            .with_failures(&failures)
+            .with_network(one_port(100.0))
+            .run(&mut rng_for(8, 0));
         assert_eq!(report.ledger.total_tasks(), 600);
         assert_eq!(report.lost_tasks, 0);
         let t0 = report.ledger.tasks(ProcId(0)) as f64;
@@ -1088,14 +1030,10 @@ mod tests {
     fn trace_reconciles_with_ledger_under_network_and_failures() {
         let pf = Platform::from_speeds(vec![10.0, 20.0, 30.0]);
         let failures = FailureModel::none().fail_at(ProcId(2), 0.9);
-        let (report, _, trace) = crate::engine::run_configured_traced(
-            &pf,
-            SpeedModel::Fixed,
-            pool(300, 4),
-            &failures,
-            one_port(30.0),
-            &mut rng_for(9, 0),
-        );
+        let (report, _, trace) = Engine::new(&pf, SpeedModel::Fixed, pool(300, 4))
+            .with_failures(&failures)
+            .with_network(one_port(30.0))
+            .run_traced(&mut rng_for(9, 0));
         // Allocation kinds reconcile exactly with the ledger; overlay kinds
         // (transfers, waits) carry no ledger-counted volume.
         let alloc_events = || trace.events().iter().filter(|e| e.kind.is_allocation());
@@ -1114,14 +1052,10 @@ mod tests {
     fn transfer_and_wait_events_reconcile_with_net_metrics() {
         use crate::trace::EventKind;
         let pf = Platform::from_speeds(vec![10.0, 20.0, 30.0]);
-        let (report, _, trace) = crate::engine::run_configured_traced(
-            &pf,
-            SpeedModel::Fixed,
-            pool(300, 4),
-            &FailureModel::none(),
-            one_port(20.0),
-            &mut rng_for(11, 0),
-        );
+        let (report, _, trace) = Engine::new(&pf, SpeedModel::Fixed, pool(300, 4))
+            .with_failures(&FailureModel::none())
+            .with_network(one_port(20.0))
+            .run_traced(&mut rng_for(11, 0));
         // Every shipped block rides exactly one transfer event.
         let transfer_blocks: u64 = trace
             .events()
@@ -1151,14 +1085,10 @@ mod tests {
         // long before the slow worker's death returns tasks to it.
         let pf = Platform::from_speeds(vec![1.0, 100.0]);
         let failures = FailureModel::none().fail_at(ProcId(0), 5.0);
-        let (report, sched) = run_configured(
-            &pf,
-            SpeedModel::Fixed,
-            pool(20, 10),
-            &failures,
-            one_port(1000.0),
-            &mut rng_for(10, 0),
-        );
+        let (report, sched) = Engine::new(&pf, SpeedModel::Fixed, pool(20, 10))
+            .with_failures(&failures)
+            .with_network(one_port(1000.0))
+            .run(&mut rng_for(10, 0));
         assert_eq!(report.ledger.total_tasks(), 20);
         assert!(sched.counts.iter().all(|&c| c == 1));
         assert!(report.lost_tasks >= 10, "{}", report.lost_tasks);

@@ -427,9 +427,8 @@ impl Iterator for ProbeIter<'_> {
 
 /// Collects a [`Trace`] and a [`ProbeSeries`] for one run.
 ///
-/// Attach with [`Engine::run_recorded`](crate::Engine::run_recorded) or the
-/// [`run_configured_recorded`](crate::run_configured_recorded) convenience;
-/// the engines emit every [`TraceEvent`] through it and it decides, per
+/// Attach with [`Engine::run_recorded`](crate::Engine::run_recorded); the
+/// engines emit every [`TraceEvent`] through it and it decides, per
 /// [`ProbeConfig`], when to snapshot the run state. A fresh sample is
 /// always taken at `t = 0` and at the end of the run, so trajectories are
 /// anchored at both ends even with sampling disabled mid-run — unless the

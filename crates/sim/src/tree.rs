@@ -4,9 +4,9 @@
 //! serving every worker. This module composes it into a two-level tree:
 //! the caller statically partitions the task grid into one shard per
 //! sub-master (the top-level split; `hetsched-core` derives it from the
-//! optimal static column partition), and `run_tree` runs one *unchanged*
-//! flat engine per shard over that sub-master's contiguous slice of the
-//! workers. The root only ships each shard's input blocks to its
+//! optimal static column partition), and [`run_tree_with`] runs one
+//! *unchanged* flat engine per shard over that sub-master's contiguous
+//! slice of the workers. The root only ships each shard's input blocks to its
 //! sub-master once, up front; that inter-tier transfer is priced through
 //! [`NetState`] under the run's network model, and a shard's clock starts
 //! when its inputs arrive.
@@ -23,7 +23,7 @@
 //! lookahead of a conservative parallel discrete-event simulation, here
 //! the full shipment schedule since shards never communicate mid-run).
 //! [`run_tree_with`] therefore runs shard engines on
-//! [`TreeOpts::threads`] crossbeam-scoped threads and merges reports in
+//! [`TreeOpts::threads`] scoped threads and merges reports in
 //! shard order, so results are **bit-identical at any thread count**.
 
 use crate::engine::{Engine, SimReport};
@@ -34,6 +34,7 @@ use crate::sink::StreamingSink;
 use crate::trace::{Trace, TraceEvent};
 use hetsched_net::{NetState, NetworkModel};
 use hetsched_platform::{FailureModel, Platform, ProcId, SpeedModel};
+use hetsched_util::parallel_map;
 use rand::rngs::StdRng;
 
 /// One sub-master's share of a tree run: a flat scheduler over a
@@ -66,7 +67,7 @@ pub struct TreeOpts {
     /// shards serially on the caller's thread — tree runs usually sit
     /// inside an already-parallel trial sweep, where extra threads would
     /// oversubscribe the machine. `Some(t)` fans the shards across `t`
-    /// crossbeam-scoped threads; results are bit-identical for every
+    /// scoped threads; results are bit-identical for every
     /// value because shards are merged in shard order, never in
     /// completion order.
     pub threads: Option<usize>,
@@ -90,39 +91,15 @@ pub struct TreeOutcome {
 /// Shards must tile the platform contiguously: `start` values in order,
 /// each `len ≥ 1`, jointly covering `0..platform.len()`.
 ///
-/// With `shards.len() == 1` this is *exactly* the flat
-/// `run_configured` path (same platform borrow, no tier pricing). With
-/// more, the root first ships every shard's `input_blocks` over its own
-/// [`NetState`] (one link per sub-master, latency = mean of the shard's
-/// worker latencies, sends issued in shard order at `t = 0`); each shard
-/// then runs on a sliced sub-platform with its failure scenario re-indexed
-/// and shifted onto the shard's local clock.
+/// With `shards.len() == 1` this is *exactly* the flat [`Engine`] run
+/// (same platform borrow, no tier pricing). With more, the root first
+/// ships every shard's `input_blocks` over its own [`NetState`] (one link
+/// per sub-master, latency = mean of the shard's worker latencies, sends
+/// issued in shard order at `t = 0`); each shard then runs on a sliced
+/// sub-platform with its failure scenario re-indexed and shifted onto the
+/// shard's local clock.
 ///
-/// # Panics
-///
-/// On a non-contiguous shard layout, an invalid network model, or a
-/// failure scenario that kills *every* worker of some shard (each shard
-/// needs a survivor, exactly like a flat platform).
-pub fn run_tree<S: Scheduler + Send>(
-    platform: &Platform,
-    model: SpeedModel,
-    failures: &FailureModel,
-    network: NetworkModel,
-    shards: Vec<ShardSpec<S>>,
-) -> (TreeOutcome, Vec<S>) {
-    run_tree_with(
-        platform,
-        model,
-        failures,
-        network,
-        shards,
-        TreeOpts::default(),
-        None::<&mut Recorder>,
-    )
-}
-
-/// [`run_tree`] with execution knobs and an optional [`Recorder`].
-///
+/// `opts` sets the shard threads; `rec`, when given, records the run.
 /// With a single shard the caller's recorder is handed straight to the
 /// flat engine — full trace *and* probe support, bit-identical to a flat
 /// recorded run. With several shards each engine records its own
@@ -134,6 +111,12 @@ pub fn run_tree<S: Scheduler + Send>(
 /// time (ties keep shard order) and pushed through `rec`'s normal event
 /// path, so streaming sinks see the same chunked flushes as a flat run.
 /// The merged trace is identical for every `opts.threads` value.
+///
+/// # Panics
+///
+/// On a non-contiguous shard layout, an invalid network model, or a
+/// failure scenario that kills *every* worker of some shard (each shard
+/// needs a survivor, exactly like a flat platform).
 pub fn run_tree_with<S: Scheduler + Send, K: StreamingSink>(
     platform: &Platform,
     model: SpeedModel,
@@ -207,9 +190,10 @@ pub fn run_tree_with<S: Scheduler + Send, K: StreamingSink>(
     // Every shard's inputs are already scheduled (`shard_starts` above), so
     // the shard bodies share nothing mutable: each builds its sliced
     // platform, re-indexes its failures, and runs its own flat engine.
-    // `shard_parallel_map` returns results in shard order whatever thread
-    // ran them, which is the whole determinism argument.
-    let results = shard_parallel_map(shards, opts.threads, |j, mut shard| {
+    // `parallel_map` returns results in shard order whatever thread ran
+    // them, which is the whole determinism argument.
+    let threads = Some(opts.threads.unwrap_or(1));
+    let results = parallel_map(shards, threads, |j, mut shard| {
         let range = shard.start..shard.start + shard.len;
         let mut sub_pf = Platform::from_speeds(platform.speeds()[range.clone()].to_vec())
             .with_link_latencies(latencies[range.clone()].to_vec());
@@ -331,52 +315,6 @@ pub fn run_tree_with<S: Scheduler + Send, K: StreamingSink>(
     )
 }
 
-/// Maps owned shards to results, preserving input order in the output.
-///
-/// With `threads` ≤ 1 (or a single item) this is a plain serial loop on the
-/// caller's thread. Otherwise the items are split into contiguous chunks
-/// across `threads` crossbeam-scoped threads; each thread writes into its
-/// own slice of the result vector, so the collected order is the input
-/// order no matter how the threads interleave. This mirrors the sweep-level
-/// `parallel_map` in `hetsched-core`, but takes items by value — a shard's
-/// scheduler and RNG move into the engine that runs it.
-fn shard_parallel_map<T: Send, R: Send>(
-    items: Vec<T>,
-    threads: Option<usize>,
-    f: impl Fn(usize, T) -> R + Sync,
-) -> Vec<R> {
-    let n = items.len();
-    let threads = threads.unwrap_or(1).clamp(1, n.max(1));
-    if threads <= 1 || n <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
-    }
-    let mut items: Vec<Option<T>> = items.into_iter().map(Some).collect();
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let chunk_len = n.div_ceil(threads);
-    let f = &f;
-    crossbeam::thread::scope(|scope| {
-        for (t, (in_chunk, out_chunk)) in items
-            .chunks_mut(chunk_len)
-            .zip(slots.chunks_mut(chunk_len))
-            .enumerate()
-        {
-            let base = t * chunk_len;
-            scope.spawn(move |_| {
-                for (off, (item, slot)) in in_chunk.iter_mut().zip(out_chunk.iter_mut()).enumerate()
-                {
-                    *slot = Some(f(base + off, item.take().expect("item present")));
-                }
-            });
-        }
-    })
-    .expect("tree shard worker panicked");
-    slots.into_iter().map(|s| s.expect("slot filled")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,7 +363,7 @@ mod tests {
     #[test]
     fn single_shard_is_bit_identical_to_flat() {
         let pf = Platform::from_speeds(vec![10.0, 30.0, 60.0]);
-        let (flat, _) = crate::run(&pf, SpeedModel::Fixed, pool(300), &mut rng_for(3, 0x22));
+        let (flat, _) = Engine::new(&pf, SpeedModel::Fixed, pool(300)).run(&mut rng_for(3, 0x22));
         let shards = vec![ShardSpec {
             scheduler: pool(300),
             start: 0,
@@ -433,12 +371,14 @@ mod tests {
             input_blocks: 999, // ignored with one shard
             rng: rng_for(3, 0x22),
         }];
-        let (tree, _) = run_tree(
+        let (tree, _) = run_tree_with(
             &pf,
             SpeedModel::Fixed,
             &FailureModel::none(),
             NetworkModel::Infinite,
             shards,
+            TreeOpts::default(),
+            None::<&mut Recorder>,
         );
         assert_eq!(tree.report.makespan, flat.makespan);
         assert_eq!(tree.report.total_blocks, flat.total_blocks);
@@ -469,12 +409,14 @@ mod tests {
                 rng: rng_for(7, 1),
             },
         ];
-        let (tree, scheds) = run_tree(
+        let (tree, scheds) = run_tree_with(
             &pf,
             SpeedModel::Fixed,
             &FailureModel::none(),
             NetworkModel::Infinite,
             shards,
+            TreeOpts::default(),
+            None::<&mut Recorder>,
         );
         assert_eq!(scheds.len(), 2);
         let tasks = tree.report.ledger.tasks_per_proc();
@@ -511,7 +453,15 @@ mod tests {
                 rng: rng_for(8, 1),
             },
         ];
-        let (tree, _) = run_tree(&pf, SpeedModel::Fixed, &FailureModel::none(), net, shards);
+        let (tree, _) = run_tree_with(
+            &pf,
+            SpeedModel::Fixed,
+            &FailureModel::none(),
+            net,
+            shards,
+            TreeOpts::default(),
+            None::<&mut Recorder>,
+        );
         // The root's single channel ships shard 0's inputs (4 time units)
         // before shard 1's even start.
         assert_eq!(tree.shard_starts[0], 4.0);
@@ -541,12 +491,14 @@ mod tests {
                 rng: rng_for(9, 1),
             },
         ];
-        let (tree, _) = run_tree(
+        let (tree, _) = run_tree_with(
             &pf,
             SpeedModel::Fixed,
             &failures,
             NetworkModel::Infinite,
             shards,
+            TreeOpts::default(),
+            None::<&mut Recorder>,
         );
         assert!(tree.report.lost_tasks > 0, "the death lands mid-batch");
         assert_eq!(
@@ -566,22 +518,22 @@ mod tests {
         // a one-worker flat run, so the flat engine is the oracle for the
         // per-shard (local) utilizations and makespans.
         let net = NetworkModel::OnePort { master_bw: 5.0 };
-        let (fast, _) = crate::run_configured(
+        let (fast, _) = Engine::new(
             &Platform::from_speeds(vec![100.0]),
             SpeedModel::Fixed,
             pool(40),
-            &FailureModel::none(),
-            net,
-            &mut rng_for(5, 0),
-        );
-        let (slow, _) = crate::run_configured(
+        )
+        .with_failures(&FailureModel::none())
+        .with_network(net)
+        .run(&mut rng_for(5, 0));
+        let (slow, _) = Engine::new(
             &Platform::from_speeds(vec![10.0]),
             SpeedModel::Fixed,
             pool(40),
-            &FailureModel::none(),
-            net,
-            &mut rng_for(5, 1),
-        );
+        )
+        .with_failures(&FailureModel::none())
+        .with_network(net)
+        .run(&mut rng_for(5, 1));
 
         let pf = Platform::from_speeds(vec![100.0, 10.0]);
         let shards = vec![
@@ -600,7 +552,15 @@ mod tests {
                 rng: rng_for(5, 1),
             },
         ];
-        let (tree, _) = run_tree(&pf, SpeedModel::Fixed, &FailureModel::none(), net, shards);
+        let (tree, _) = run_tree_with(
+            &pf,
+            SpeedModel::Fixed,
+            &FailureModel::none(),
+            net,
+            shards,
+            TreeOpts::default(),
+            None::<&mut Recorder>,
+        );
 
         let mk = fast.makespan.max(slow.makespan);
         assert_eq!(tree.report.makespan.to_bits(), mk.to_bits());
@@ -717,12 +677,14 @@ mod tests {
                 rng: rng_for(0, 1),
             },
         ];
-        let _ = run_tree(
+        let _ = run_tree_with(
             &pf,
             SpeedModel::Fixed,
             &FailureModel::none(),
             NetworkModel::Infinite,
             shards,
+            TreeOpts::default(),
+            None::<&mut Recorder>,
         );
     }
 }

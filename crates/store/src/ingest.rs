@@ -25,9 +25,9 @@
 
 use hetsched_core::{config_json, ExperimentConfig, RunResult, TrialSummary};
 use hetsched_sim::ProbeSeries;
+use hetsched_util::json::{f64_field, flatten_numbers, object_field, str_field, u64_field};
 use hetsched_util::OnlineStats;
 
-use crate::json::{extract_num, extract_object, extract_str, extract_u64, flatten_numbers};
 use crate::schema::Row;
 use crate::store::fnv1a64;
 
@@ -219,7 +219,7 @@ pub fn figure_csv_rows(campaign: &str, csv: &str) -> Result<Vec<Row>, String> {
 
 /// A `BENCH_*.json` snapshot → one row per numeric leaf.
 pub fn bench_rows(campaign: &str, text: &str) -> Result<Vec<Row>, String> {
-    let date = extract_str(text, "date").unwrap_or_else(|| "undated".to_string());
+    let date = str_field(text, "date").unwrap_or_else(|| "undated".to_string());
     let config = format!("{:016x}", fnv1a64(text.as_bytes()));
     let run = format!("bench-{date}");
     let flat = flatten_numbers(text.trim())?;
@@ -245,23 +245,23 @@ pub fn serve_log_rows(campaign: &str, text: &str) -> Result<Vec<Row>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let event = extract_str(line, "event")
+        let event = str_field(line, "event")
             .ok_or_else(|| format!("serve log line {}: no \"event\" field in {line:?}", i + 1))?;
-        let run = match extract_u64(line, "job") {
+        let run = match u64_field(line, "job") {
             Some(id) => format!("job-{id}"),
             None => "daemon".to_string(),
         };
         let mut r = Row::new(campaign, &run, "serve", &config);
         r.metric = event.clone();
         r.t = i as f64;
-        r.value = extract_num(line, "makespan_mean").unwrap_or(f64::NAN);
-        if let Some(name) = extract_str(line, "name") {
+        r.value = f64_field(line, "makespan_mean").unwrap_or(f64::NAN);
+        if let Some(name) = str_field(line, "name") {
             r.series = name;
         }
         rows.push(r);
         if event == "done" {
             for field in ["total_blocks_mean", "normalized_comm_mean"] {
-                if let Some(v) = extract_num(line, field) {
+                if let Some(v) = f64_field(line, field) {
                     let mut extra = Row::new(campaign, &run, "serve", &config);
                     extra.metric = format!("done.{field}");
                     extra.t = i as f64;
@@ -275,7 +275,7 @@ pub fn serve_log_rows(campaign: &str, text: &str) -> Result<Vec<Row>, String> {
 }
 
 fn parse_u64_array(line: &str, key: &str) -> Vec<u64> {
-    match extract_object(line, key) {
+    match object_field(line, key) {
         Some(arr) => arr[1..arr.len() - 1]
             .split(',')
             .filter(|s| !s.is_empty())
@@ -286,7 +286,7 @@ fn parse_u64_array(line: &str, key: &str) -> Vec<u64> {
 }
 
 fn parse_f64_array(line: &str, key: &str) -> Vec<f64> {
-    match extract_object(line, key) {
+    match object_field(line, key) {
         Some(arr) => arr[1..arr.len() - 1]
             .split(',')
             .filter(|s| !s.is_empty())
@@ -312,12 +312,11 @@ pub fn trace_jsonl_rows(campaign: &str, text: &str) -> Result<Vec<Row>, String> 
                 .to_string(),
         );
     }
-    let seed =
-        extract_u64(first, "seed").ok_or_else(|| "trace manifest has no seed".to_string())?;
-    let config_obj = extract_object(first, "config")
+    let seed = u64_field(first, "seed").ok_or_else(|| "trace manifest has no seed".to_string())?;
+    let config_obj = object_field(first, "config")
         .ok_or_else(|| "trace manifest has no config object".to_string())?;
     let config = format!("{:016x}", fnv1a64(config_obj.as_bytes()));
-    let strategy = extract_str(config_obj, "strategy").unwrap_or_default();
+    let strategy = str_field(config_obj, "strategy").unwrap_or_default();
     let key = RunKey {
         campaign: campaign.to_string(),
         run: format!("trace-{seed:x}"),
@@ -342,20 +341,20 @@ pub fn trace_jsonl_rows(campaign: &str, text: &str) -> Result<Vec<Row>, String> 
                 let mut r = keyed(&key, "probe", &strategy);
                 r.metric = "sample".to_string();
                 r.worker = w as i64;
-                r.t = extract_num(line, "t").unwrap_or(f64::NAN);
-                r.events = extract_u64(line, "events").unwrap_or(0);
-                r.remaining = extract_u64(line, "remaining").unwrap_or(0);
+                r.t = f64_field(line, "t").unwrap_or(f64::NAN);
+                r.events = u64_field(line, "events").unwrap_or(0);
+                r.remaining = u64_field(line, "remaining").unwrap_or(0);
                 r.blocks = wb;
                 r.tasks = *tasks.get(w).unwrap_or(&0);
                 r.useful = *useful.get(w).unwrap_or(&f64::NAN);
-                r.link_busy = extract_num(line, "link_busy").unwrap_or(f64::NAN);
-                r.queue_depth = extract_u64(line, "queue_depth").unwrap_or(0);
+                r.link_busy = f64_field(line, "link_busy").unwrap_or(f64::NAN);
+                r.queue_depth = u64_field(line, "queue_depth").unwrap_or(0);
                 rows.push(r);
             }
         } else if line.starts_with("{\"type\":\"event\"") {
-            let kind = extract_str(line, "kind").unwrap_or_else(|| "unknown".to_string());
+            let kind = str_field(line, "kind").unwrap_or_else(|| "unknown".to_string());
             *event_counts.entry(kind).or_insert(0) += 1;
-            if let Some(t) = extract_num(line, "t") {
+            if let Some(t) = f64_field(line, "t") {
                 max_t = if max_t.is_nan() { t } else { max_t.max(t) };
             }
         } else {
@@ -390,14 +389,14 @@ pub fn rows_for_text(campaign: &str, text: &str) -> Result<(Vec<Row>, &'static s
     if first == "figure,series,x,mean,std_dev" {
         return Ok((figure_csv_rows(campaign, text)?, "figure"));
     }
-    if first.starts_with('{') && extract_str(first, "event").is_some() {
+    if first.starts_with('{') && str_field(first, "event").is_some() {
         return Ok((serve_log_rows(campaign, text)?, "serve"));
     }
     if first.starts_with('{') {
         // A `BENCH_*.json` snapshot is one pretty-printed object, so its
         // `"date"` field sits a line or two below the opening brace.
         let head: Vec<&str> = text.lines().take(5).collect();
-        if extract_str(&head.join("\n"), "date").is_some() {
+        if str_field(&head.join("\n"), "date").is_some() {
             return Ok((bench_rows(campaign, text)?, "bench"));
         }
     }
@@ -536,6 +535,31 @@ mod tests {
             .iter()
             .any(|r| r.metric == "done.total_blocks_mean" && r.value == 100.0));
         assert!(serve_log_rows("serve", "{\"no_event\":1}\n").is_err());
+    }
+
+    #[test]
+    fn trace_reingest_keeps_the_exact_seed() {
+        // `simulate --trace-out` traces trial 0, whose derived seed uses
+        // all 64 bits; a reader going through f64 would round it.
+        let seed = hetsched_core::runner::trial_seed(42, 0);
+        assert!(seed > 1 << 53, "seed {seed} must not fit an f64 mantissa");
+        let trace = hetsched_core::render_trace(
+            &cfg(),
+            seed,
+            ProbeConfig::disabled(),
+            hetsched_core::TraceFormat::Jsonl,
+        );
+        assert!(trace
+            .lines()
+            .next()
+            .unwrap()
+            .contains(&format!("\"seed\":{seed},")));
+        let rows = trace_jsonl_rows("c", &trace).unwrap();
+        assert!(!rows.is_empty());
+        for r in &rows {
+            assert_eq!(r.seed, seed);
+            assert_eq!(r.run, format!("trace-{seed:x}"));
+        }
     }
 
     #[test]

@@ -32,7 +32,6 @@
 
 pub mod column;
 pub mod ingest;
-pub mod json;
 pub mod query;
 pub mod schema;
 pub mod segment;

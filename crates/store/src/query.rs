@@ -33,7 +33,7 @@
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-use hetsched_core::runner::parallel_map;
+use hetsched_util::parallel_map;
 
 use crate::column::{str_chunk_contains, ColumnData};
 use crate::schema::{column_index, ColumnType, Value, COLUMNS};
@@ -376,7 +376,7 @@ impl QueryResult {
                 }
                 out.push_str(&format!(
                     "\"{}\":{}",
-                    hetsched_core::provenance::json_escape(name),
+                    hetsched_util::json::json_escape(name),
                     v.render_json()
                 ));
             }

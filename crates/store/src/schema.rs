@@ -234,7 +234,7 @@ impl Value {
     /// floats as `null` (matching the trace sinks' `num` convention).
     pub fn render_json(&self) -> String {
         match self {
-            Value::Str(s) => format!("\"{}\"", hetsched_core::provenance::json_escape(s)),
+            Value::Str(s) => format!("\"{}\"", hetsched_util::json::json_escape(s)),
             Value::U64(v) => v.to_string(),
             Value::I64(v) => v.to_string(),
             Value::F64(v) if v.is_finite() => v.to_string(),

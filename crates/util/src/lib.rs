@@ -13,13 +13,19 @@
 //! * [`stats::OnlineStats`] — Welford accumulator for trial aggregation;
 //! * [`rng`] — SplitMix64 seed derivation so every (experiment, trial)
 //!   pair gets an independent, reproducible stream;
-//! * [`csv`] — minimal CSV emission for the figure-regeneration binaries.
+//! * [`csv`] — minimal CSV emission for the figure-regeneration binaries;
+//! * [`json`] — JSON string escaping and the field readers every JSON
+//!   consumer (store ingest, serve protocol and event log) shares;
+//! * [`parallel_map`] — the order-preserving scoped-thread map behind
+//!   trial campaigns, store scans and tree shards.
 
 pub mod bitset;
 pub mod csv;
 pub mod float;
 pub mod grid;
+pub mod json;
 pub mod owned;
+pub mod parallel;
 pub mod rng;
 pub mod sample;
 pub mod stats;
@@ -28,5 +34,6 @@ pub use bitset::FixedBitSet;
 pub use float::OrderedF64;
 pub use grid::{BitCube, BitGrid};
 pub use owned::OwnedSet;
+pub use parallel::parallel_map;
 pub use sample::SwapList;
 pub use stats::OnlineStats;

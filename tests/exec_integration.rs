@@ -106,9 +106,9 @@ fn exec_respects_exactly_once_under_concurrency() {
 
 #[test]
 fn killed_worker_still_yields_the_exact_product() {
-    // A worker thread dies after five tasks; its whole assignment history
-    // is lost (results only flush at shutdown) and the survivors recompute
-    // it. The final matrix must still match the sequential reference bit
+    // A worker thread is killed once the master has assigned it five
+    // tasks; its whole assignment history is lost (results only flush at
+    // shutdown) and the survivors recompute it. The final matrix must still match the sequential reference bit
     // for bit, and the ledger must balance.
     let n = 12;
     let l = 3;
