@@ -2,6 +2,7 @@
 
 use crate::model::NetworkModel;
 use hetsched_platform::ProcId;
+use std::collections::VecDeque;
 
 /// The priced timing of one batch transfer.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -36,8 +37,10 @@ pub struct NetState {
     /// Accumulated master-link busy time (sum of transfer durations).
     busy: f64,
     /// Start times of transfers that were queued behind a busy channel and
-    /// have not started yet (pruned lazily).
-    waiting_starts: Vec<f64>,
+    /// have not started yet (pruned lazily). A queued transfer starts at the
+    /// earliest channel clock, which never decreases, so the starts are
+    /// pushed in sorted order and the started ones are always a prefix.
+    waiting_starts: VecDeque<f64>,
     max_queue_depth: usize,
 }
 
@@ -75,7 +78,7 @@ impl NetState {
             worker_bw: Vec::new(),
             channel_free: vec![0.0; channels],
             busy: 0.0,
-            waiting_starts: Vec::new(),
+            waiting_starts: VecDeque::new(),
             max_queue_depth: 0,
         }
     }
@@ -153,9 +156,11 @@ impl NetState {
         self.busy += duration;
 
         // Queue-depth metric: transfers enqueued but not yet started.
-        self.waiting_starts.retain(|&s| s > now);
+        while self.waiting_starts.front().is_some_and(|&s| s <= now) {
+            self.waiting_starts.pop_front();
+        }
         if start > now {
-            self.waiting_starts.push(start);
+            self.waiting_starts.push_back(start);
         }
         self.max_queue_depth = self.max_queue_depth.max(self.waiting_starts.len());
 
@@ -353,5 +358,103 @@ mod tests {
             );
         }
         assert_eq!(plain.master_busy(), listed.master_busy());
+    }
+
+    /// The transfer pricing as first written, recounting the queue depth by
+    /// rescanning every queued start on each send: the reference the
+    /// deque-based [`NetState::send`] must agree with.
+    struct RetainRecount {
+        channel_free: Vec<f64>,
+        rate: f64,
+        latency: Vec<f64>,
+        waiting_starts: Vec<f64>,
+        max_queue_depth: usize,
+    }
+
+    impl RetainRecount {
+        fn send(&mut self, k: usize, blocks: u64, now: f64) -> TransferPlan {
+            if blocks == 0 {
+                return TransferPlan {
+                    start: now,
+                    end: now,
+                    arrival: now,
+                };
+            }
+            let (slot, _) = self
+                .channel_free
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .unwrap();
+            let start = self.channel_free[slot].max(now);
+            let end = start + blocks as f64 / self.rate;
+            self.channel_free[slot] = end;
+            self.waiting_starts.retain(|&s| s > now);
+            if start > now {
+                self.waiting_starts.push(start);
+            }
+            self.max_queue_depth = self.max_queue_depth.max(self.waiting_starts.len());
+            TransferPlan {
+                start,
+                end,
+                arrival: end + self.latency[k],
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Random send sequences (non-decreasing request times, ties with
+        /// earlier requests and with transfer ends included, zero-block
+        /// sends mixed in) over 1–4 channels price and count the queue
+        /// exactly as the rescanning reference does.
+        #[test]
+        fn queue_depth_matches_the_retain_recount(
+            seed in 0u64..1_000_000,
+            channels in 1usize..=4,
+            sends in 1usize..300,
+        ) {
+            use rand::Rng;
+            let mut rng = hetsched_util::rng::rng_for(seed, 0);
+            let workers = 6;
+            let bw = [4.0, 5.0, 8.0, 10.0][rng.gen_range(0..4usize)];
+            let model = if channels == 1 {
+                NetworkModel::OnePort { master_bw: bw }
+            } else {
+                NetworkModel::BoundedMultiport {
+                    master_bw: bw * channels as f64,
+                    worker_bw: bw,
+                }
+            };
+            let latency: Vec<f64> = (0..workers).map(|_| rng.gen_range(0.0..0.5)).collect();
+            let mut net = NetState::new(model, workers, latency.clone());
+            let mut reference = RetainRecount {
+                channel_free: vec![0.0; channels],
+                rate: bw,
+                latency,
+                waiting_starts: Vec::new(),
+                max_queue_depth: 0,
+            };
+            let mut now = 0.0;
+            // Transfer ends still ahead of `now`: an engine requests again
+            // exactly when a transfer lands, which is when the next queued
+            // one starts.
+            let mut ends: Vec<f64> = Vec::new();
+            for _ in 0..sends {
+                ends.retain(|&e| e > now);
+                if !ends.is_empty() && rng.gen_bool(0.3) {
+                    now = ends[rng.gen_range(0..ends.len())];
+                } else if rng.gen_bool(0.7) {
+                    now += rng.gen_range(0.0..2.0);
+                }
+                let k: usize = rng.gen_range(0..workers);
+                let blocks = if rng.gen_bool(0.25) { 0 } else { rng.gen_range(1..30) };
+                let got = net.send(ProcId(k as u32), blocks, now);
+                proptest::prop_assert_eq!(got, reference.send(k, blocks, now));
+                proptest::prop_assert_eq!(net.max_queue_depth(), reference.max_queue_depth);
+                ends.push(got.end);
+            }
+        }
     }
 }

@@ -28,15 +28,23 @@
 //!
 //! ## Batch storage
 //!
-//! Batches in flight live in a structure-of-arrays layout: the task ids of
-//! every live batch share one [`IdArena`] (a single `Vec<u32>` addressed by
-//! `(offset, len)` [`Span`] handles with free-list reuse), and the
-//! per-worker `pending`/`ready` queues are flat [`SlotCol`] columns. The
-//! steady-state loop touches contiguous memory and performs no per-batch
-//! heap allocation; arena growth is bounded — retained id capacity never
-//! exceeds `max(1024, 4 × live ids)` thanks to a compaction backstop — so
-//! long faulty runs cannot hoard memory the way the old per-worker
-//! `Vec<Vec<u32>>` free list could.
+//! Depth-1 prefetch bounds what a worker can hold: one batch in transfer
+//! (`pending`), one arrived while it still computes (`ready`), and one it
+//! is computing but will not finish (`in_flight`, kept until its death is
+//! discovered). Each is a per-worker `Vec<u32>` of task ids, so a worker
+//! owns exactly three id buffers. The scheduler fills the `pending` buffer
+//! directly; a batch then moves between the three by `mem::swap` with an
+//! empty buffer, and a finished or lost batch is cleared in place. No step
+//! copies ids or searches for space. Every buffer keeps its capacity for
+//! the worker's next batch, and no buffer grows past what the worker's
+//! largest batch needed.
+//!
+//! ## Per-batch cost
+//!
+//! No per-batch step looks at every worker or every queued transfer:
+//! [`NetState::send`] prunes its queue-depth list from the front, and a
+//! worker parked on an empty pool finds the next death through a cursor
+//! over the fail times sorted once per run.
 
 use crate::engine::{Engine, SimReport};
 use crate::event::EventQueue;
@@ -49,6 +57,7 @@ use hetsched_platform::ProcId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use std::collections::HashSet;
+use std::mem;
 
 /// A worker's failure is discovered.
 const DEATH: u8 = 0;
@@ -59,197 +68,44 @@ const DONE: u8 = 2;
 /// A parked worker re-checks the (possibly replenished) task pool.
 const RETRY: u8 = 3;
 
-/// Handle to a run of task ids in the [`IdArena`]: `start..start+len` are
-/// the live ids; `cap >= len` is the slot's reusable capacity (a freed
-/// slot keeps its full extent so it can be recycled first-fit).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct Span {
-    start: u32,
-    len: u32,
-    cap: u32,
-}
-
-impl Span {
-    /// The no-batch sentinel (only ever produced for empty slots; stored
-    /// batches always hold at least one task).
-    const EMPTY: Span = Span {
-        start: 0,
-        len: 0,
-        cap: 0,
-    };
-}
-
-/// Arena for the task ids of every batch in flight: one shared `Vec<u32>`
-/// addressed by [`Span`] handles.
-///
-/// * [`store`](IdArena::store) copies a batch in, reusing the first free
-///   slot that fits (else appending at the tail);
-/// * [`release`](IdArena::release) returns a slot, truncating the tail
-///   (and absorbing any free slots newly exposed at it) when possible;
-/// * [`compact`](IdArena::compact) is the fragmentation backstop: when
-///   retained capacity exceeds `max(1024, 4 × live ids)`, the caller
-///   gathers every live span and the arena rewrites them front-to-back,
-///   dropping all free space.
-#[derive(Default)]
-struct IdArena {
-    ids: Vec<u32>,
-    /// Freed slots (`len` unused, `cap` is the reusable extent).
-    free: Vec<Span>,
-    /// Total live ids across all stored spans.
-    live: u32,
-    /// Largest `ids` length ever reached (memory high-water, in ids).
-    high_water: usize,
-}
-
-/// Retained arena capacity below which compaction never triggers.
-const ARENA_RETAIN_MIN: usize = 1024;
-
-impl IdArena {
-    /// Copies `ids` into the arena (first free slot that fits, else the
-    /// tail) and returns the handle. `ids` must be non-empty.
-    fn store(&mut self, ids: &[u32]) -> Span {
-        let len = u32::try_from(ids.len()).expect("batch too large for id arena");
-        debug_assert!(len > 0, "empty batches are never stored");
-        self.live += len;
-        if let Some(pos) = self.free.iter().position(|s| s.cap >= len) {
-            let slot = self.free.swap_remove(pos);
-            let start = slot.start as usize;
-            self.ids[start..start + ids.len()].copy_from_slice(ids);
-            return Span {
-                start: slot.start,
-                len,
-                cap: slot.cap,
-            };
-        }
-        let start = self.ids.len() as u32;
-        self.ids.extend_from_slice(ids);
-        self.high_water = self.high_water.max(self.ids.len());
-        Span {
-            start,
-            len,
-            cap: len,
-        }
-    }
-
-    /// The ids of a stored span.
-    fn get(&self, span: Span) -> &[u32] {
-        &self.ids[span.start as usize..(span.start + span.len) as usize]
-    }
-
-    /// Returns a span's slot to the arena. Tail slots are truncated away
-    /// (together with any free slots that become the new tail); interior
-    /// slots go on the free list with their full capacity.
-    fn release(&mut self, span: Span) {
-        self.live -= span.len;
-        if (span.start + span.cap) as usize == self.ids.len() {
-            self.ids.truncate(span.start as usize);
-            // Free slots now exposed at the tail evaporate too.
-            loop {
-                let tail = self.ids.len() as u32;
-                match self.free.iter().position(|s| s.start + s.cap == tail) {
-                    Some(i) => {
-                        let s = self.free.swap_remove(i);
-                        self.ids.truncate(s.start as usize);
-                    }
-                    None => break,
-                }
-            }
-        } else {
-            self.free.push(Span {
-                start: span.start,
-                len: 0,
-                cap: span.cap,
-            });
-        }
-    }
-
-    /// True when fragmentation (freed-but-retained capacity) exceeds the
-    /// backstop bound and [`compact`](IdArena::compact) should run.
-    fn needs_compaction(&self) -> bool {
-        self.ids.len() > ARENA_RETAIN_MIN.max(4 * self.live as usize)
-    }
-
-    /// Rewrites every live span front-to-back (in arena order), drops all
-    /// free space, and updates the handles in `spans` in place (order
-    /// preserved, so callers can write them back positionally).
-    fn compact(&mut self, spans: &mut [Span]) {
-        let mut order: Vec<u32> = (0..spans.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| spans[i as usize].start);
-        let mut cursor: u32 = 0;
-        for &oi in &order {
-            let s = spans[oi as usize];
-            self.ids.copy_within(
-                s.start as usize..(s.start + s.len) as usize,
-                cursor as usize,
-            );
-            spans[oi as usize] = Span {
-                start: cursor,
-                len: s.len,
-                cap: s.len,
-            };
-            cursor += s.len;
-        }
-        self.ids.truncate(cursor as usize);
-        self.free.clear();
-        debug_assert_eq!(cursor, self.live, "compaction must keep every live id");
-    }
-}
-
-/// One parked batch per worker, in structure-of-arrays columns (the
-/// `pending` and `ready` queues). `tasks[i] == 0` marks an empty slot —
-/// stored batches always allocate at least one task, since retirements
-/// ([`Allocation::is_done`](crate::Allocation::is_done)) are handled
-/// before parking.
+/// One parked batch per worker: its task ids and its block count. An empty
+/// id buffer marks an empty slot — parked batches always hold at least one
+/// task, since retirements
+/// ([`Allocation::is_done`](crate::Allocation::is_done)) are handled before
+/// parking.
 struct SlotCol {
-    tasks: Vec<u32>,
+    ids: Vec<Vec<u32>>,
     blocks: Vec<u64>,
-    span: Vec<Span>,
 }
 
 impl SlotCol {
     fn new(p: usize) -> Self {
         SlotCol {
-            tasks: vec![0; p],
+            ids: vec![Vec::new(); p],
             blocks: vec![0; p],
-            span: vec![Span::EMPTY; p],
         }
     }
 
     fn is_some(&self, i: usize) -> bool {
-        self.tasks[i] != 0
-    }
-
-    fn put(&mut self, i: usize, tasks: u32, blocks: u64, span: Span) {
-        debug_assert!(tasks > 0, "empty batches are never parked");
-        debug_assert!(!self.is_some(i), "slot {i} already occupied");
-        self.tasks[i] = tasks;
-        self.blocks[i] = blocks;
-        self.span[i] = span;
-    }
-
-    fn take(&mut self, i: usize) -> Option<(u32, u64, Span)> {
-        if self.tasks[i] == 0 {
-            return None;
-        }
-        let b = (self.tasks[i], self.blocks[i], self.span[i]);
-        self.tasks[i] = 0;
-        self.blocks[i] = 0;
-        self.span[i] = Span::EMPTY;
-        Some(b)
+        !self.ids[i].is_empty()
     }
 }
 
 /// Mutable per-run worker state for the networked loop.
 struct RunState {
     fail_time: Vec<Option<f64>>,
+    /// Finite failure times in increasing order, and the cursor past the
+    /// leading workers already dead: the next death a parked worker can
+    /// wait for.
+    deaths: Vec<(f64, ProcId)>,
+    next_death: usize,
     dead: Vec<bool>,
-    /// Worker was allocated a batch it will not finish; the `Death` event at
-    /// its failure time discovers the loss.
-    dying: Vec<bool>,
-    /// Arena handle to the dying worker's current batch ids
-    /// ([`Span::EMPTY`] when none).
-    in_flight: Vec<Span>,
-    /// Batch currently in transfer (an `Arrive` event is scheduled).
+    /// Ids of the batch a doomed worker is computing; non-empty exactly
+    /// while the worker is *dying* (the `Death` event at its failure time
+    /// discovers the loss).
+    in_flight: Vec<Vec<u32>>,
+    /// Batch currently in transfer (an `Arrive` event is scheduled). The
+    /// scheduler fills this buffer; it is empty whenever a request is made.
     pending: SlotCol,
     /// Batch arrived while the worker was still computing.
     ready: SlotCol,
@@ -262,14 +118,6 @@ struct RunState {
     idle_since: Vec<f64>,
     /// Failure-lost ids not yet re-allocated, for re-ship accounting.
     lost_ids: HashSet<u32>,
-    /// Shared id storage for every batch in flight.
-    arena: IdArena,
-    /// Scheduler fill buffer: handed to `on_request` empty (per the
-    /// scheduler contract), then copied into the arena. Reused across
-    /// requests, so the steady-state loop performs no heap allocation.
-    scratch: Vec<u32>,
-    /// Reusable span buffer for compaction sweeps.
-    gather: Vec<Span>,
     /// `(kind, worker)` events. `Death` events are pushed first and so
     /// carry the lowest sequence numbers: at time `f` a death pops before
     /// any same-time arrival or retry.
@@ -278,44 +126,8 @@ struct RunState {
 }
 
 impl RunState {
-    /// Runs the compaction backstop: when the arena says fragmentation
-    /// exceeds the bound, gathers every live span (fixed worker order),
-    /// compacts, and writes the relocated handles back.
-    fn maybe_compact(&mut self) {
-        if !self.arena.needs_compaction() {
-            return;
-        }
-        let p = self.dead.len();
-        let mut spans = std::mem::take(&mut self.gather);
-        spans.clear();
-        for i in 0..p {
-            if self.pending.is_some(i) {
-                spans.push(self.pending.span[i]);
-            }
-            if self.ready.is_some(i) {
-                spans.push(self.ready.span[i]);
-            }
-            if self.in_flight[i].len > 0 {
-                spans.push(self.in_flight[i]);
-            }
-        }
-        self.arena.compact(&mut spans);
-        let mut j = 0;
-        for i in 0..p {
-            if self.pending.is_some(i) {
-                self.pending.span[i] = spans[j];
-                j += 1;
-            }
-            if self.ready.is_some(i) {
-                self.ready.span[i] = spans[j];
-                j += 1;
-            }
-            if self.in_flight[i].len > 0 {
-                self.in_flight[i] = spans[j];
-                j += 1;
-            }
-        }
-        self.gather = spans;
+    fn dying(&self, i: usize) -> bool {
+        !self.in_flight[i].is_empty()
     }
 }
 
@@ -325,25 +137,76 @@ impl<'a, S: Scheduler> Engine<'a, S> {
         rng: &mut StdRng,
         mut rec: Option<&mut Recorder<K>>,
     ) -> (SimReport, S, ()) {
+        let st = self.net_loop(rng, &mut rec);
+        assert_eq!(
+            self.scheduler.remaining(),
+            0,
+            "engine stopped with unallocated tasks"
+        );
+        debug_assert!(
+            st.pending
+                .ids
+                .iter()
+                .chain(&st.ready.ids)
+                .chain(&st.in_flight)
+                .all(Vec::is_empty),
+            "every batch buffer drained"
+        );
+        let total_blocks = self.ledger.total_blocks();
+        let lost_tasks = self.ledger.total_lost_tasks();
+        let reshipped_blocks = self.ledger.total_reshipped_blocks();
+        let wasted_blocks = self.ledger.total_wasted_blocks();
+        let link_utilization = st.net.utilization(self.makespan);
+        let max_queue_depth = st.net.max_queue_depth();
+        let returned_blocks = self.ledger.total_returned_blocks();
+        (
+            SimReport {
+                ledger: self.ledger,
+                makespan: self.makespan,
+                total_blocks,
+                lost_tasks,
+                reshipped_blocks,
+                link_utilization,
+                max_queue_depth,
+                wasted_blocks,
+                tier_blocks: 0,
+                returned_blocks,
+            },
+            self.scheduler,
+            (),
+        )
+    }
+
+    /// Runs the event loop to drain and returns the final worker state.
+    fn net_loop<K: StreamingSink>(
+        &mut self,
+        rng: &mut StdRng,
+        rec: &mut Option<&mut Recorder<K>>,
+    ) -> RunState {
         let p = self.platform.len();
+        let fail_time: Vec<Option<f64>> = self
+            .platform
+            .procs()
+            .map(|k| self.failures.fail_time(k))
+            .collect();
+        let mut deaths: Vec<(f64, ProcId)> = self
+            .platform
+            .procs()
+            .filter_map(|k| fail_time[k.idx()].filter(|f| f.is_finite()).map(|f| (f, k)))
+            .collect();
+        deaths.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut st = RunState {
-            fail_time: self
-                .platform
-                .procs()
-                .map(|k| self.failures.fail_time(k))
-                .collect(),
+            fail_time,
+            deaths,
+            next_death: 0,
             dead: vec![false; p],
-            dying: vec![false; p],
-            in_flight: vec![Span::EMPTY; p],
+            in_flight: vec![Vec::new(); p],
             pending: SlotCol::new(p),
             ready: SlotCol::new(p),
             computing: vec![false; p],
             done_tasks: vec![0; p],
             idle_since: vec![0.0; p],
             lost_ids: HashSet::new(),
-            arena: IdArena::default(),
-            scratch: Vec::new(),
-            gather: Vec::new(),
             q: EventQueue::new(),
             net: {
                 let net = NetState::new(self.network, p, self.platform.link_latencies().to_vec());
@@ -376,7 +239,7 @@ impl<'a, S: Scheduler> Engine<'a, S> {
         let mut initial: Vec<ProcId> = self.platform.procs().collect();
         initial.shuffle(rng);
         for k in initial {
-            self.net_request(&mut st, k, 0.0, rng, &mut rec);
+            self.net_request(&mut st, k, 0.0, rng, rec);
         }
 
         while let Some((now, (kind, k))) = st.q.pop() {
@@ -387,27 +250,29 @@ impl<'a, S: Scheduler> Engine<'a, S> {
                         continue;
                     }
                     st.dead[i] = true;
-                    if st.dying[i] {
+                    if st.dying(i) {
                         // The batch it was computing dies with it.
-                        st.dying[i] = false;
-                        let span = st.in_flight[i];
-                        st.in_flight[i] = Span::EMPTY;
-                        self.ledger.record_lost(k, span.len as usize);
-                        st.lost_ids.extend(st.arena.get(span).iter().copied());
-                        self.scheduler.on_tasks_lost(st.arena.get(span));
-                        st.arena.release(span);
+                        let ids = &mut st.in_flight[i];
+                        self.ledger.record_lost(k, ids.len());
+                        st.lost_ids.extend(ids.iter().copied());
+                        self.scheduler.on_tasks_lost(ids);
+                        ids.clear();
                     }
                     // A batch in transfer (or arrived but never started) is
                     // pure waste: the master spent the bandwidth, the tasks
                     // go back to the pool.
-                    let stranded = [st.pending.take(i), st.ready.take(i)];
-                    for (_tasks, blocks, span) in stranded.into_iter().flatten() {
+                    for slot in [&mut st.pending, &mut st.ready] {
+                        if !slot.is_some(i) {
+                            continue;
+                        }
+                        let blocks = slot.blocks[i];
+                        let ids = &mut slot.ids[i];
                         self.ledger.record(k, 0, blocks, 0.0);
                         self.ledger.record_wasted(k, blocks);
-                        self.ledger.record_lost(k, span.len as usize);
-                        st.lost_ids.extend(st.arena.get(span).iter().copied());
-                        self.scheduler.on_tasks_lost(st.arena.get(span));
-                        st.arena.release(span);
+                        self.ledger.record_lost(k, ids.len());
+                        st.lost_ids.extend(ids.iter().copied());
+                        self.scheduler.on_tasks_lost(ids);
+                        ids.clear();
                         if let Some(r) = rec.as_deref_mut() {
                             r.observe(
                                 TraceEvent {
@@ -424,22 +289,20 @@ impl<'a, S: Scheduler> Engine<'a, S> {
                             );
                         }
                     }
-                    st.maybe_compact();
                 }
                 ARRIVE => {
-                    if st.dead[i] {
+                    if st.dead[i] || !st.pending.is_some(i) {
                         continue;
                     }
-                    let (tasks, blocks, span) = match st.pending.take(i) {
-                        Some(b) => b,
-                        None => continue,
-                    };
-                    if st.computing[i] || st.dying[i] {
+                    if st.computing[i] || st.dying(i) {
                         // Current batch still running (or doomed); the
                         // arrived batch waits at the worker.
-                        st.ready.put(i, tasks, blocks, span);
+                        mem::swap(&mut st.pending.ids[i], &mut st.ready.ids[i]);
+                        st.ready.blocks[i] = st.pending.blocks[i];
                     } else {
-                        self.net_start(&mut st, k, tasks, blocks, span, now, rng, &mut rec);
+                        mem::swap(&mut st.pending.ids[i], &mut st.in_flight[i]);
+                        let blocks = st.pending.blocks[i];
+                        self.net_start(&mut st, k, blocks, now, rng, rec);
                     }
                 }
                 DONE => {
@@ -459,10 +322,12 @@ impl<'a, S: Scheduler> Engine<'a, S> {
                     }
                     st.computing[i] = false;
                     st.idle_since[i] = now;
-                    if let Some((tasks, blocks, span)) = st.ready.take(i) {
-                        self.net_start(&mut st, k, tasks, blocks, span, now, rng, &mut rec);
+                    if st.ready.is_some(i) {
+                        mem::swap(&mut st.ready.ids[i], &mut st.in_flight[i]);
+                        let blocks = st.ready.blocks[i];
+                        self.net_start(&mut st, k, blocks, now, rng, rec);
                     } else if !st.pending.is_some(i) {
-                        self.net_request(&mut st, k, now, rng, &mut rec);
+                        self.net_request(&mut st, k, now, rng, rec);
                     }
                     // else: the prefetched batch is still in flight; its
                     // arrival starts it.
@@ -471,52 +336,23 @@ impl<'a, S: Scheduler> Engine<'a, S> {
                     // RETRY: the pool may have been replenished by a death
                     // processed just before this event.
                     if st.dead[i]
-                        || st.dying[i]
+                        || st.dying(i)
                         || st.computing[i]
                         || st.pending.is_some(i)
                         || st.ready.is_some(i)
                     {
                         continue;
                     }
-                    self.net_request(&mut st, k, now, rng, &mut rec);
+                    self.net_request(&mut st, k, now, rng, rec);
                 }
             }
         }
 
-        if let Some(r) = rec {
+        if let Some(r) = rec.as_deref_mut() {
             // Anchor the probed trajectory at the makespan.
             r.sample(self.makespan, &self.scheduler, &self.ledger, Some(&st.net));
         }
-
-        assert_eq!(
-            self.scheduler.remaining(),
-            0,
-            "engine stopped with unallocated tasks"
-        );
-        debug_assert_eq!(st.arena.live, 0, "all spans released at drain");
-        let total_blocks = self.ledger.total_blocks();
-        let lost_tasks = self.ledger.total_lost_tasks();
-        let reshipped_blocks = self.ledger.total_reshipped_blocks();
-        let wasted_blocks = self.ledger.total_wasted_blocks();
-        let link_utilization = st.net.utilization(self.makespan);
-        let max_queue_depth = st.net.max_queue_depth();
-        let returned_blocks = self.ledger.total_returned_blocks();
-        (
-            SimReport {
-                ledger: self.ledger,
-                makespan: self.makespan,
-                total_blocks,
-                lost_tasks,
-                reshipped_blocks,
-                link_utilization,
-                max_queue_depth,
-                wasted_blocks,
-                tier_blocks: 0,
-                returned_blocks,
-            },
-            self.scheduler,
-            (),
-        )
+        st
     }
 
     /// Asks the scheduler for worker `k`'s next batch and puts it on the
@@ -535,31 +371,32 @@ impl<'a, S: Scheduler> Engine<'a, S> {
             return;
         }
         if self.scheduler.remaining() == 0 {
-            if st.computing[i] || st.dying[i] {
+            if st.computing[i] || st.dying(i) {
                 // A busy worker re-requests at compute-done; no need to park.
                 return;
             }
             // Tasks only return to the pool when a failure is discovered:
-            // wake at the earliest death still ahead of us, or drain.
-            let earliest = self
-                .platform
-                .procs()
-                .filter(|j| !st.dead[j.idx()])
-                .filter_map(|j| st.fail_time[j.idx()])
-                .filter(|&f| f >= now)
-                .fold(f64::INFINITY, f64::min);
-            if earliest.is_finite() {
+            // wake at the earliest death still ahead of us, or drain. A
+            // death before `now` has already popped and marked its worker
+            // dead, so the first live worker in fail-time order holds the
+            // earliest death at or after `now`.
+            while st
+                .deaths
+                .get(st.next_death)
+                .is_some_and(|&(_, j)| st.dead[j.idx()])
+            {
+                st.next_death += 1;
+            }
+            if let Some(&(earliest, _)) = st.deaths.get(st.next_death) {
                 st.q.push(earliest.max(now), (RETRY, k));
             }
             return;
         }
-        // The scratch buffer is handed to the scheduler empty (per the
-        // contract) and copied into the arena afterwards; neither step
-        // allocates once warm.
-        st.scratch.clear();
-        let alloc = self.scheduler.on_request(k, rng, &mut st.scratch);
+        let ids = &mut st.pending.ids[i];
+        debug_assert!(ids.is_empty(), "worker {i} requests with a batch pending");
+        let alloc = self.scheduler.on_request(k, rng, ids);
         debug_assert_eq!(
-            st.scratch.len(),
+            ids.len(),
             alloc.tasks,
             "scheduler contract: out ids == tasks"
         );
@@ -591,7 +428,7 @@ impl<'a, S: Scheduler> Engine<'a, S> {
             // Re-ship accounting at batch granularity, as in the infinite
             // engine.
             let mut reallocates = false;
-            for id in &st.scratch {
+            for id in &st.pending.ids[i] {
                 if st.lost_ids.remove(id) {
                     reallocates = true;
                 }
@@ -621,27 +458,24 @@ impl<'a, S: Scheduler> Engine<'a, S> {
                 );
             }
         }
-        let span = st.arena.store(&st.scratch);
-        st.pending.put(i, alloc.tasks as u32, alloc.blocks, span);
+        st.pending.blocks[i] = alloc.blocks;
         st.q.push(plan.arrival, (ARRIVE, k));
     }
 
-    /// Starts computing an arrived batch at time `now`, charging the
-    /// worker's transfer wait, and prefetches the next batch so its
-    /// transfer overlaps this computation.
-    #[allow(clippy::too_many_arguments)]
+    /// Starts computing the batch just swapped into worker `k`'s (empty)
+    /// `in_flight` buffer at time `now`, charging the worker's transfer wait, and
+    /// prefetches the next batch so its transfer overlaps this computation.
     fn net_start<K: StreamingSink>(
         &mut self,
         st: &mut RunState,
         k: ProcId,
-        tasks: u32,
         blocks: u64,
-        span: Span,
         now: f64,
         rng: &mut StdRng,
         rec: &mut Option<&mut Recorder<K>>,
     ) {
         let i = k.idx();
+        let tasks = st.in_flight[i].len();
         let wait = now - st.idle_since[i];
         self.ledger.record_wait(k, wait);
         if wait > 0.0 {
@@ -661,16 +495,14 @@ impl<'a, S: Scheduler> Engine<'a, S> {
                 );
             }
         }
-        let dur = self.speeds.batch_duration(k, tasks as usize, rng);
+        let dur = self.speeds.batch_duration(k, tasks, rng);
         let finish = now + dur;
         match st.fail_time[i] {
             Some(f) if f < finish => {
                 // Dies mid-batch: blocks shipped and `f − now` of compute
                 // burned, no task completes. The death event discovers it;
-                // the span stays live until then.
+                // the ids stay in `in_flight` until then.
                 self.ledger.record(k, 0, blocks, f - now);
-                st.in_flight[i] = span;
-                st.dying[i] = true;
                 if let Some(r) = rec.as_deref_mut() {
                     r.observe(
                         TraceEvent {
@@ -688,14 +520,14 @@ impl<'a, S: Scheduler> Engine<'a, S> {
                 }
             }
             _ => {
-                self.ledger.record(k, tasks as usize, blocks, dur);
+                self.ledger.record(k, tasks, blocks, dur);
                 if let Some(r) = rec.as_deref_mut() {
                     r.observe(
                         TraceEvent {
                             kind: EventKind::Batch,
                             time: now,
                             proc: k,
-                            tasks: tasks as usize,
+                            tasks,
                             blocks,
                             duration: dur,
                         },
@@ -706,10 +538,11 @@ impl<'a, S: Scheduler> Engine<'a, S> {
                 }
                 self.makespan = self.makespan.max(finish);
                 st.computing[i] = true;
-                st.done_tasks[i] = tasks;
+                st.done_tasks[i] = tasks as u32;
                 st.q.push(finish, (DONE, k));
-                // The batch is fully accounted; its arena slot frees up.
-                st.arena.release(span);
+                // The batch is fully accounted; its buffer empties for the
+                // worker's next one.
+                st.in_flight[i].clear();
             }
         }
         // Depth-1 prefetch. The master cannot know a worker is doomed, so
@@ -720,20 +553,25 @@ impl<'a, S: Scheduler> Engine<'a, S> {
 
 #[cfg(test)]
 mod tests {
-    use super::{IdArena, Span, ARENA_RETAIN_MIN};
     use crate::engine::Engine;
+    use crate::probe::Recorder;
     use crate::scheduler::{Allocation, Scheduler};
     use hetsched_net::NetworkModel;
     use hetsched_platform::{FailureModel, Platform, ProcId, SpeedModel};
     use hetsched_util::rng::rng_for;
     use rand::rngs::StdRng;
+    use rand::Rng;
 
     /// Pool-backed toy strategy: one block per task, supports reallocation.
     struct PoolSched {
         pool: Vec<u32>,
         total: usize,
         batch: usize,
+        /// Draw each batch size from `1..=batch` instead of always `batch`.
+        varied: bool,
         counts: Vec<i32>,
+        /// Largest batch handed to each worker.
+        largest: Vec<usize>,
     }
 
     fn pool(total: usize, batch: usize) -> PoolSched {
@@ -741,13 +579,24 @@ mod tests {
             pool: (0..total as u32).rev().collect(),
             total,
             batch,
+            varied: false,
             counts: vec![0; total],
+            largest: Vec::new(),
         }
     }
 
     impl Scheduler for PoolSched {
-        fn on_request(&mut self, _k: ProcId, _rng: &mut StdRng, out: &mut Vec<u32>) -> Allocation {
-            let t = self.batch.min(self.pool.len());
+        fn on_request(&mut self, k: ProcId, rng: &mut StdRng, out: &mut Vec<u32>) -> Allocation {
+            let batch = if self.varied {
+                rng.gen_range(1..=self.batch)
+            } else {
+                self.batch
+            };
+            let t = batch.min(self.pool.len());
+            if self.largest.len() <= k.idx() {
+                self.largest.resize(k.idx() + 1, 0);
+            }
+            self.largest[k.idx()] = self.largest[k.idx()].max(t);
             for _ in 0..t {
                 let id = self.pool.pop().expect("pool underflow");
                 self.counts[id as usize] += 1;
@@ -777,80 +626,6 @@ mod tests {
 
     fn one_port(bw: f64) -> NetworkModel {
         NetworkModel::OnePort { master_bw: bw }
-    }
-
-    #[test]
-    fn arena_store_get_roundtrip_and_tail_release() {
-        let mut a = IdArena::default();
-        let s1 = a.store(&[1, 2, 3]);
-        let s2 = a.store(&[4, 5]);
-        assert_eq!(a.get(s1), &[1, 2, 3]);
-        assert_eq!(a.get(s2), &[4, 5]);
-        assert_eq!(a.live, 5);
-        // Releasing the tail truncates instead of fragmenting.
-        a.release(s2);
-        assert_eq!(a.ids.len(), 3);
-        assert!(a.free.is_empty());
-        // Releasing the new tail drains the arena completely.
-        a.release(s1);
-        assert_eq!(a.ids.len(), 0);
-        assert_eq!(a.live, 0);
-    }
-
-    #[test]
-    fn arena_reuses_freed_interior_slots_first_fit() {
-        let mut a = IdArena::default();
-        let s1 = a.store(&[1, 2, 3]);
-        let _s2 = a.store(&[4, 5]);
-        a.release(s1); // interior → free list
-        assert_eq!(a.free.len(), 1);
-        // A batch that fits recycles the slot without growing the arena.
-        let s3 = a.store(&[7, 8]);
-        assert_eq!(s3.start, 0);
-        assert_eq!(s3.cap, 3, "slot keeps its full capacity");
-        assert_eq!(a.get(s3), &[7, 8]);
-        assert_eq!(a.ids.len(), 5, "no growth");
-    }
-
-    #[test]
-    fn arena_release_absorbs_free_slots_exposed_at_the_tail() {
-        let mut a = IdArena::default();
-        let s1 = a.store(&[1, 2]);
-        let s2 = a.store(&[3, 4]);
-        let s3 = a.store(&[5, 6]);
-        a.release(s2); // interior
-        assert_eq!(a.free.len(), 1);
-        a.release(s3); // tail: truncates s3, then absorbs s2's slot
-        assert_eq!(a.ids.len(), 2);
-        assert!(a.free.is_empty());
-        a.release(s1);
-        assert_eq!(a.ids.len(), 0);
-    }
-
-    #[test]
-    fn arena_compaction_bounds_retained_capacity() {
-        let mut a = IdArena::default();
-        // Adversarial churn: each round's batch is bigger than every freed
-        // slot (so first-fit can't recycle), and a small survivor pins the
-        // tail so release can't truncate. Retained capacity balloons.
-        let mut live: Vec<Span> = Vec::new();
-        for round in 0..8u32 {
-            let big = vec![9u32; 600 + round as usize];
-            let s_big = a.store(&big);
-            let s_keep = a.store(&[2 * round + 1, 2 * round + 2]);
-            a.release(s_big);
-            live.push(s_keep);
-        }
-        assert!(a.ids.len() > ARENA_RETAIN_MIN, "fragmented past the bound");
-        assert!(a.needs_compaction());
-        let before: Vec<Vec<u32>> = live.iter().map(|&s| a.get(s).to_vec()).collect();
-        a.compact(&mut live);
-        assert_eq!(a.ids.len(), a.live as usize, "all free space dropped");
-        assert!(a.ids.len() <= ARENA_RETAIN_MIN.max(4 * a.live as usize));
-        assert!(!a.needs_compaction());
-        for (s, old) in live.iter().zip(&before) {
-            assert_eq!(a.get(*s), &old[..], "live ids survive compaction");
-        }
     }
 
     #[test]
@@ -1094,5 +869,46 @@ mod tests {
         assert!(report.lost_tasks >= 10, "{}", report.lost_tasks);
         // Recovery can only start once the death is discovered at t = 5.
         assert!(report.makespan > 5.0, "{}", report.makespan);
+    }
+
+    #[test]
+    fn batch_buffers_stay_bounded_and_drain() {
+        // A long faulty one-port run: varied batch sizes, a straggler, and
+        // deaths that strand transfers, kill batches mid-compute and wake
+        // parked workers.
+        let pf = Platform::from_speeds(vec![10.0, 25.0, 40.0, 15.0, 60.0, 30.0, 5.0, 50.0]);
+        let failures = FailureModel::none()
+            .fail_at(ProcId(1), 3.0)
+            .fail_at(ProcId(3), 7.5)
+            .fail_at(ProcId(6), 20.0)
+            .fail_at(ProcId(5), 31.0)
+            .slow_down(ProcId(2), 3.0);
+        let sched = PoolSched {
+            varied: true,
+            ..pool(8000, 24)
+        };
+        let mut engine = Engine::new(&pf, SpeedModel::dyn5(), sched)
+            .with_failures(&failures)
+            .with_network(one_port(300.0));
+        let st = engine.net_loop(&mut rng_for(12, 0), &mut None::<&mut Recorder>);
+        assert_eq!(engine.scheduler.remaining(), 0);
+        assert!(engine.ledger.total_lost_tasks() > 0);
+        assert!(engine.ledger.total_wasted_blocks() > 0);
+        assert!(engine.scheduler.counts.iter().all(|&c| c == 1));
+        for i in 0..pf.len() {
+            let largest = engine.scheduler.largest[i];
+            // A worker owns exactly these three buffers. Each was grown only
+            // by the scheduler's pushes for one of this worker's batches,
+            // so its capacity is what `Vec` grows to for the largest of
+            // them: under twice its size (and at least 4 slots).
+            for buf in [&st.pending.ids[i], &st.ready.ids[i], &st.in_flight[i]] {
+                assert!(buf.is_empty(), "worker {i}: buffer not drained");
+                assert!(
+                    buf.capacity() <= (2 * largest).max(4),
+                    "worker {i}: capacity {} for a largest batch of {largest}",
+                    buf.capacity()
+                );
+            }
+        }
     }
 }

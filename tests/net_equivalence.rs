@@ -11,13 +11,13 @@
 //!    indistinguishable from never calling `with_network` at all: identical
 //!    report *and* identical request trace, for all eight strategies.
 //!
-//! A fourth layer pins the priced path itself: golden reports and trace
-//! digests of the bandwidth-aware loop (see "Priced-network goldens" below).
-//!
 //! A third test exercises the acceptance criterion of the subsystem itself:
 //! under a tight one-port master link, `DynamicOuter`'s lower communication
 //! volume must translate into a strictly better makespan than
 //! `RandomOuter`'s, and the advantage must vanish once bandwidth is ample.
+//!
+//! Last, golden reports and trace digests pin the priced path itself (see
+//! "Priced-network goldens" below).
 
 use hetsched::core::{run_once, BetaChoice, ExperimentConfig, Kernel, Strategy};
 use hetsched::matmul::{DynamicMatrix, DynamicMatrix2Phases, RandomMatrix, SortedMatrix};
