@@ -273,6 +273,48 @@ mod tests {
     }
 
     #[test]
+    fn started_transfers_leave_the_queue() {
+        let mut net = one_port(10.0);
+        net.send(ProcId(0), 50, 0.0); // 0–5
+        net.send(ProcId(1), 30, 0.0); // waits, starts at 5
+        net.send(ProcId(2), 20, 0.0); // waits, starts at 8
+        assert_eq!(net.max_queue_depth(), 2);
+        // At t = 5 the transfer starting exactly then has left the queue;
+        // the one starting at 8 and this one (at 10) still wait.
+        let d = net.send(ProcId(3), 10, 5.0);
+        assert_eq!((d.start, d.end), (10.0, 11.0));
+        assert_eq!(net.max_queue_depth(), 2, "the start at 5 was dropped");
+        // At t = 9 only the start at 10 is still ahead.
+        let e = net.send(ProcId(0), 10, 9.0);
+        assert_eq!((e.start, e.end), (11.0, 12.0));
+        assert_eq!(net.max_queue_depth(), 2, "the start at 8 was dropped");
+    }
+
+    #[test]
+    fn multiport_queue_counts_only_unstarted_transfers() {
+        let mut net = NetState::new(
+            NetworkModel::BoundedMultiport {
+                master_bw: 20.0,
+                worker_bw: 10.0,
+            },
+            4,
+            vec![0.0; 4],
+        );
+        net.send(ProcId(0), 10, 0.0); // channel 0: 0–1
+        net.send(ProcId(1), 10, 0.0); // channel 1: 0–1
+        net.send(ProcId(2), 10, 0.0); // waits, 1–2
+        net.send(ProcId(3), 10, 0.0); // waits, 1–2
+        assert_eq!(net.max_queue_depth(), 2);
+        // Both waiting transfers start at t = 1; the new one waits alone.
+        let e = net.send(ProcId(0), 10, 1.0);
+        assert_eq!((e.start, e.end), (2.0, 3.0));
+        assert_eq!(net.max_queue_depth(), 2);
+        let f = net.send(ProcId(1), 10, 1.0);
+        assert_eq!((f.start, f.end), (2.0, 3.0));
+        assert_eq!(net.max_queue_depth(), 2, "only e and f wait at t = 1");
+    }
+
+    #[test]
     fn zero_block_sends_are_free() {
         let mut net = one_port(1.0);
         let plan = net.send(ProcId(0), 0, 4.0);

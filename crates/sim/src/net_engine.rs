@@ -872,6 +872,32 @@ mod tests {
     }
 
     #[test]
+    fn parked_workers_wake_at_the_earliest_death() {
+        // Worker 2's death (t = 5) comes first in time but after worker 1's
+        // (t = 50) in worker order. The fast worker drains the pool, parks,
+        // and must wake at t = 5 to recover the 10 lost tasks; waking at
+        // t = 50 would push the makespan past 50.
+        let pf = Platform::from_speeds(vec![100.0, 1.0, 1.0]);
+        let failures = FailureModel::none()
+            .fail_at(ProcId(1), 50.0)
+            .fail_at(ProcId(2), 5.0);
+        let mut engine = Engine::new(&pf, SpeedModel::Fixed, pool(30, 10))
+            .with_failures(&failures)
+            .with_network(one_port(1000.0));
+        let st = engine.net_loop(&mut rng_for(3, 0), &mut None::<&mut Recorder>);
+        let times: Vec<f64> = st.deaths.iter().map(|&(f, _)| f).collect();
+        assert_eq!(times, [5.0, 50.0], "deaths sorted by time");
+        assert_eq!(engine.scheduler.remaining(), 0);
+        assert!(engine.scheduler.counts.iter().all(|&c| c == 1));
+        assert_eq!(engine.ledger.total_lost_tasks(), 10);
+        assert!(
+            engine.makespan > 5.0 && engine.makespan < 12.0,
+            "{}",
+            engine.makespan
+        );
+    }
+
+    #[test]
     fn batch_buffers_stay_bounded_and_drain() {
         // A long faulty one-port run: varied batch sizes, a straggler, and
         // deaths that strand transfers, kill batches mid-compute and wake
