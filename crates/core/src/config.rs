@@ -1,6 +1,8 @@
 //! Declarative experiment configuration.
 
+use hetsched_matmul::Cube;
 use hetsched_net::NetworkModel;
+use hetsched_outer::{Grid, TaskSpace};
 use hetsched_platform::{FailureModel, Platform, SpeedDistribution, SpeedModel};
 use hetsched_sim::Topology;
 
@@ -72,19 +74,23 @@ pub enum Strategy {
 }
 
 impl Strategy {
-    /// Display label matching the paper's figure legends.
+    /// Display label matching the paper's figure legends: the
+    /// [`Scheduler::name`](hetsched_sim::Scheduler::name) of the strategy
+    /// over `kernel`, read from the kernel's name table.
     pub fn label(&self, kernel: Kernel) -> &'static str {
-        match (self, kernel) {
-            (Strategy::Random, Kernel::Outer { .. }) => "RandomOuter",
-            (Strategy::Sorted, Kernel::Outer { .. }) => "SortedOuter",
-            (Strategy::Dynamic, Kernel::Outer { .. }) => "DynamicOuter",
-            (Strategy::TwoPhase(_), Kernel::Outer { .. }) => "DynamicOuter2Phases",
-            (Strategy::Random, Kernel::Matmul { .. }) => "RandomMatrix",
-            (Strategy::Sorted, Kernel::Matmul { .. }) => "SortedMatrix",
-            (Strategy::Dynamic, Kernel::Matmul { .. }) => "DynamicMatrix",
-            (Strategy::TwoPhase(_), Kernel::Matmul { .. }) => "DynamicMatrix2Phases",
-            (Strategy::Static, Kernel::Outer { .. }) => "StaticOuter",
-            (Strategy::Static, Kernel::Matmul { .. }) => "StaticOuter(unsupported)",
+        let names = match kernel {
+            Kernel::Outer { .. } => Grid::NAMES,
+            Kernel::Matmul { .. } => Cube::NAMES,
+        };
+        match self {
+            Strategy::Random => names.random,
+            Strategy::Sorted => names.sorted,
+            Strategy::Dynamic => names.dynamic,
+            Strategy::TwoPhase(_) => names.two_phase,
+            Strategy::Static => match kernel {
+                Kernel::Outer { .. } => "StaticOuter",
+                Kernel::Matmul { .. } => "StaticOuter(unsupported)",
+            },
         }
     }
 }

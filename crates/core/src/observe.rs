@@ -58,7 +58,7 @@ pub struct ObservedRun {
 /// perturbs the schedule.
 pub fn run_once_observed(cfg: &ExperimentConfig, seed: u64, probe: ProbeConfig) -> ObservedRun {
     let mut rec = Recorder::new(probe);
-    let result = run_once_impl(cfg, seed, Some(&mut rec));
+    let result = run_once_impl(cfg, seed, Some(&mut rec)).0;
     let (trace, probes) = rec.into_parts();
     ObservedRun {
         result,
@@ -126,7 +126,7 @@ pub fn stream_trace<W: io::Write>(
         TraceFormat::Jsonl => {
             let sink = JsonlStream::new(out, Some(&manifest));
             let mut rec = Recorder::streaming(probe, sink, chunk_events);
-            let result = run_once_impl(cfg, seed, Some(&mut rec));
+            let result = run_once_impl(cfg, seed, Some(&mut rec)).0;
             let (peak, flushed) = (rec.peak_buffered_events(), rec.flushed_events());
             rec.finish().into_inner()?;
             Ok(StreamedRun {
@@ -143,7 +143,7 @@ pub fn stream_trace<W: io::Write>(
             let has_net = !cfg.network.is_infinite();
             let sink = ChromeStream::new(out, Some(&manifest), cfg.processors, has_net);
             let mut rec = Recorder::streaming(probe, sink, chunk_events);
-            let result = run_once_impl(cfg, seed, Some(&mut rec));
+            let result = run_once_impl(cfg, seed, Some(&mut rec)).0;
             let (peak, flushed) = (rec.peak_buffered_events(), rec.flushed_events());
             rec.finish().into_inner()?;
             Ok(StreamedRun {

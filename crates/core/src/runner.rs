@@ -3,12 +3,13 @@
 use crate::config::{BetaChoice, ExperimentConfig, Kernel, Strategy};
 use crate::shard::{plan_shards, ShardLayout};
 use hetsched_analysis::{MatmulAnalysis, OuterAnalysis};
-use hetsched_matmul::{DynamicMatrix, DynamicMatrix2Phases, RandomMatrix, SortedMatrix};
-use hetsched_outer::{DynamicOuter, DynamicOuter2Phases, RandomOuter, SortedOuter};
+use hetsched_matmul::Cube;
+use hetsched_outer::{
+    beta_threshold, phase1_fraction_threshold, Dynamic, Grid, Random, Sorted, TaskSpace, TwoPhase,
+};
 use hetsched_platform::Platform;
 use hetsched_sim::{
     run_tree_with, Recorder, Scheduler, ShardSpec, SimReport, StreamingSink, Topology, TreeOpts,
-    TreeOutcome,
 };
 pub use hetsched_util::parallel_map;
 use hetsched_util::rng::{derive_seed, rng_for};
@@ -119,7 +120,7 @@ pub fn trial_seed(seed: u64, i: usize) -> u64 {
 /// another, so e.g. sweeping β with the same seed holds everything else
 /// constant.
 pub fn run_once(cfg: &ExperimentConfig, seed: u64) -> RunResult {
-    run_once_impl(cfg, seed, None::<&mut Recorder>)
+    run_once_impl(cfg, seed, None::<&mut Recorder>).0
 }
 
 /// Runs one experiment under an engine configured from `cfg`, optionally
@@ -144,11 +145,13 @@ fn drive<S: Scheduler, K: StreamingSink>(
     }
 }
 
+/// [`run_once`], optionally recording through `rec`; also returns the
+/// [`Scheduler::name`] of the scheduler it built.
 pub(crate) fn run_once_impl<K: StreamingSink>(
     cfg: &ExperimentConfig,
     seed: u64,
     mut rec: Option<&mut Recorder<K>>,
-) -> RunResult {
+) -> (RunResult, &'static str) {
     cfg.validate().expect("invalid experiment config");
     // Stochastic fail-stop entries draw their fixed times from a dedicated
     // per-trial stream before any engine sees the scenario; fixed-only
@@ -173,7 +176,6 @@ pub(crate) fn run_once_impl<K: StreamingSink>(
     let n = cfg.kernel.n();
     let p = cfg.processors;
     let lb = cfg.kernel.lower_bound(&platform);
-    let mut rng = rng_for(seed, STREAM_RUN);
 
     // Resolve β (and hence the threshold) if needed.
     let beta_used = match (&cfg.strategy, &cfg.kernel) {
@@ -193,106 +195,23 @@ pub(crate) fn run_once_impl<K: StreamingSink>(
         _ => None,
     };
 
-    // Tree topology: the root statically splits workers and grid across
-    // sub-masters; each shard runs its flat strategy unchanged. A single
-    // sub-master goes through the same code path but is bit-for-bit
-    // identical to the flat dispatch below (same platform borrow, same
-    // RNG stream, no tier transfers).
-    if let Topology::Tree { submasters } = cfg.topology {
-        let (report, phase_split) =
-            run_tree_impl(cfg, &platform, submasters, seed, beta_used, &mut rec);
-        return finish(cfg, report, phase_split, beta_used, lb, platform);
-    }
-
-    // Dispatch on (kernel, strategy). Each arm runs the generic engine with
-    // its concrete scheduler and harvests strategy-specific accounting.
-    let (report, phase_split) = match (cfg.kernel, cfg.strategy) {
-        (Kernel::Outer { n }, Strategy::Random) => {
-            let (r, _) = drive(&platform, cfg, RandomOuter::new(n, p), &mut rng, &mut rec);
-            (r, None)
-        }
-        (Kernel::Outer { n }, Strategy::Sorted) => {
-            let (r, _) = drive(&platform, cfg, SortedOuter::new(n, p), &mut rng, &mut rec);
-            (r, None)
-        }
-        (Kernel::Outer { n }, Strategy::Dynamic) => {
-            let (r, _) = drive(&platform, cfg, DynamicOuter::new(n, p), &mut rng, &mut rec);
-            (r, None)
-        }
-        (Kernel::Outer { n }, Strategy::Static) => {
-            let (r, _) = drive(
-                &platform,
-                cfg,
-                hetsched_partition::StaticOuter::new(n, &platform),
-                &mut rng,
-                &mut rec,
-            );
-            (r, None)
-        }
-        (Kernel::Matmul { .. }, Strategy::Static) => {
-            unreachable!("rejected by validate()")
-        }
-        (Kernel::Outer { n }, Strategy::TwoPhase(choice)) => {
-            let sched = match (choice, beta_used) {
-                (BetaChoice::Phase1Fraction(f), _) => {
-                    DynamicOuter2Phases::with_phase1_fraction(n, p, f)
-                }
-                (_, Some(b)) => DynamicOuter2Phases::with_beta(n, p, b),
-                _ => unreachable!("β resolved above for non-fraction choices"),
-            };
-            let (r, s) = drive(&platform, cfg, sched, &mut rng, &mut rec);
-            let split = (
-                s.phase1_blocks(),
-                s.phase2_blocks(),
-                s.phase1_tasks(),
-                s.phase2_tasks(),
-            );
-            (r, Some(split))
-        }
-        (Kernel::Matmul { n }, Strategy::Random) => {
-            let (r, _) = drive(&platform, cfg, RandomMatrix::new(n, p), &mut rng, &mut rec);
-            (r, None)
-        }
-        (Kernel::Matmul { n }, Strategy::Sorted) => {
-            let (r, _) = drive(&platform, cfg, SortedMatrix::new(n, p), &mut rng, &mut rec);
-            (r, None)
-        }
-        (Kernel::Matmul { n }, Strategy::Dynamic) => {
-            let (r, _) = drive(&platform, cfg, DynamicMatrix::new(n, p), &mut rng, &mut rec);
-            (r, None)
-        }
-        (Kernel::Matmul { n }, Strategy::TwoPhase(choice)) => {
-            let sched = match (choice, beta_used) {
-                (BetaChoice::Phase1Fraction(f), _) => {
-                    DynamicMatrix2Phases::with_phase1_fraction(n, p, f)
-                }
-                (_, Some(b)) => DynamicMatrix2Phases::with_beta(n, p, b),
-                _ => unreachable!("β resolved above for non-fraction choices"),
-            };
-            let (r, s) = drive(&platform, cfg, sched, &mut rng, &mut rec);
-            let split = (
-                s.phase1_blocks(),
-                s.phase2_blocks(),
-                s.phase1_tasks(),
-                s.phase2_tasks(),
-            );
-            (r, Some(split))
-        }
+    let run = Run {
+        cfg,
+        platform: &platform,
+        seed,
+        beta_used,
     };
-
-    finish(cfg, report, phase_split, beta_used, lb, platform)
-}
-
-/// Folds a finished engine report into the public [`RunResult`].
-fn finish(
-    _cfg: &ExperimentConfig,
-    report: SimReport,
-    phase_split: Option<(u64, u64, usize, usize)>,
-    beta_used: Option<f64>,
-    lb: f64,
-    platform: Platform,
-) -> RunResult {
-    RunResult {
+    let (report, phase_split, name) = match cfg.kernel {
+        Kernel::Outer { n } if cfg.strategy == Strategy::Static => {
+            let sched = hetsched_partition::StaticOuter::new(n, &platform);
+            let mut rng = rng_for(seed, STREAM_RUN);
+            let (r, s) = drive(&platform, cfg, sched, &mut rng, &mut rec);
+            (r, None, s.name())
+        }
+        Kernel::Outer { .. } => run.strategy(&mut rec, |s| Grid::rect(s.rows(), s.cols())),
+        Kernel::Matmul { n } => run.strategy(&mut rec, |s| Cube::rect(s.rows(), s.cols(), n)),
+    };
+    let result = RunResult {
         total_blocks: report.total_blocks,
         normalized_comm: report.normalized(lb),
         makespan: report.makespan,
@@ -310,7 +229,8 @@ fn finish(
         tier_blocks: report.tier_blocks,
         returned_blocks: report.returned_blocks,
         platform,
-    }
+    };
+    (result, name)
 }
 
 /// Root → sub-master transfer volume for one shard: the static input
@@ -334,160 +254,107 @@ fn tree_input_blocks(kernel: Kernel, s: &ShardLayout) -> u64 {
     }
 }
 
-/// Builds the [`ShardSpec`]s for `plan` and runs the tree engine. With a
-/// single shard the RNG is the flat run stream (`rng_for(seed,
-/// STREAM_RUN)`), pinning bit-identity with the flat engine; with several,
-/// shard `j` gets its own derived stream.
-fn run_tree_strategy<S: Scheduler + Send, K: StreamingSink>(
-    cfg: &ExperimentConfig,
-    platform: &Platform,
-    plan: &[ShardLayout],
-    seed: u64,
-    rec: &mut Option<&mut Recorder<K>>,
-    make: impl Fn(&ShardLayout) -> S,
-) -> (TreeOutcome, Vec<S>) {
-    let single = plan.len() == 1;
-    let shards = plan
-        .iter()
-        .enumerate()
-        .map(|(j, s)| ShardSpec {
-            scheduler: make(s),
-            start: s.start,
-            len: s.len,
-            input_blocks: tree_input_blocks(cfg.kernel, s),
-            rng: if single {
-                rng_for(seed, STREAM_RUN)
-            } else {
-                rng_for(derive_seed(seed, j as u64), STREAM_RUN)
-            },
-        })
-        .collect();
-    run_tree_with(
-        platform,
-        cfg.speed_model,
-        &cfg.failures,
-        cfg.network,
-        shards,
-        TreeOpts {
-            threads: cfg.tree_threads,
-        },
-        rec.as_deref_mut(),
-    )
-}
+/// One run's engine report, two-phase split and scheduler name.
+type Outcome = (SimReport, Option<(u64, u64, usize, usize)>, &'static str);
 
-/// Tree-topology dispatch on (kernel, strategy): plans the top-level split
-/// and runs one rectangular shard scheduler per sub-master.
-fn run_tree_impl<K: StreamingSink>(
-    cfg: &ExperimentConfig,
-    platform: &Platform,
-    submasters: usize,
+/// What a run needs besides its scheduler.
+struct Run<'a> {
+    cfg: &'a ExperimentConfig,
+    platform: &'a Platform,
     seed: u64,
     beta_used: Option<f64>,
-    rec: &mut Option<&mut Recorder<K>>,
-) -> (SimReport, Option<(u64, u64, usize, usize)>) {
-    let plan = plan_shards(platform, submasters, cfg.kernel.n());
-    match (cfg.kernel, cfg.strategy) {
-        (Kernel::Outer { .. }, Strategy::Random) => {
-            let (o, _) = run_tree_strategy(cfg, platform, &plan, seed, rec, |s| {
-                RandomOuter::rect(s.rows(), s.cols(), s.len)
-            });
-            (o.report, None)
-        }
-        (Kernel::Outer { .. }, Strategy::Sorted) => {
-            let (o, _) = run_tree_strategy(cfg, platform, &plan, seed, rec, |s| {
-                SortedOuter::rect(s.rows(), s.cols(), s.len)
-            });
-            (o.report, None)
-        }
-        (Kernel::Outer { .. }, Strategy::Dynamic) => {
-            let (o, _) = run_tree_strategy(cfg, platform, &plan, seed, rec, |s| {
-                DynamicOuter::rect(s.rows(), s.cols(), s.len)
-            });
-            (o.report, None)
-        }
-        (Kernel::Outer { .. }, Strategy::TwoPhase(choice)) => {
-            let (o, scheds) = run_tree_strategy(cfg, platform, &plan, seed, rec, |s| {
-                match (choice, beta_used) {
-                    (BetaChoice::Phase1Fraction(f), _) => {
-                        DynamicOuter2Phases::rect_with_phase1_fraction(s.rows(), s.cols(), s.len, f)
-                    }
-                    (_, Some(b)) => {
-                        DynamicOuter2Phases::rect_with_beta(s.rows(), s.cols(), s.len, b)
-                    }
-                    _ => unreachable!("β resolved above for non-fraction choices"),
-                }
-            });
-            (
-                o.report,
-                Some(merge_phase_split(scheds.iter().map(|s| {
-                    (
-                        s.phase1_blocks(),
-                        s.phase2_blocks(),
-                        s.phase1_tasks(),
-                        s.phase2_tasks(),
-                    )
-                }))),
-            )
-        }
-        (Kernel::Matmul { n }, Strategy::Random) => {
-            let (o, _) = run_tree_strategy(cfg, platform, &plan, seed, rec, |s| {
-                RandomMatrix::rect(s.rows(), s.cols(), n, s.len)
-            });
-            (o.report, None)
-        }
-        (Kernel::Matmul { n }, Strategy::Sorted) => {
-            let (o, _) = run_tree_strategy(cfg, platform, &plan, seed, rec, |s| {
-                SortedMatrix::rect(s.rows(), s.cols(), n, s.len)
-            });
-            (o.report, None)
-        }
-        (Kernel::Matmul { n }, Strategy::Dynamic) => {
-            let (o, _) = run_tree_strategy(cfg, platform, &plan, seed, rec, |s| {
-                DynamicMatrix::rect(s.rows(), s.cols(), n, s.len)
-            });
-            (o.report, None)
-        }
-        (Kernel::Matmul { n }, Strategy::TwoPhase(choice)) => {
-            let (o, scheds) = run_tree_strategy(cfg, platform, &plan, seed, rec, |s| {
-                match (choice, beta_used) {
-                    (BetaChoice::Phase1Fraction(f), _) => {
-                        DynamicMatrix2Phases::rect_with_phase1_fraction(
-                            s.rows(),
-                            s.cols(),
-                            n,
-                            s.len,
-                            f,
-                        )
-                    }
-                    (_, Some(b)) => {
-                        DynamicMatrix2Phases::rect_with_beta(s.rows(), s.cols(), n, s.len, b)
-                    }
-                    _ => unreachable!("β resolved above for non-fraction choices"),
-                }
-            });
-            (
-                o.report,
-                Some(merge_phase_split(scheds.iter().map(|s| {
-                    (
-                        s.phase1_blocks(),
-                        s.phase2_blocks(),
-                        s.phase1_tasks(),
-                        s.phase2_tasks(),
-                    )
-                }))),
-            )
-        }
-        (_, Strategy::Static) => unreachable!("rejected by validate()"),
-    }
 }
 
-/// Sums per-shard two-phase accounting into the global split.
-fn merge_phase_split(
-    splits: impl Iterator<Item = (u64, u64, usize, usize)>,
-) -> (u64, u64, usize, usize) {
-    splits.fold((0, 0, 0, 0), |acc, s| {
-        (acc.0 + s.0, acc.1 + s.1, acc.2 + s.2, acc.3 + s.3)
-    })
+impl Run<'_> {
+    /// The (kernel, strategy) dispatch, written once for both kernels: one
+    /// constructor per strategy, over the full task space or over the
+    /// space `shard` cuts out for a sub-master.
+    fn strategy<T: TaskSpace, K: StreamingSink>(
+        &self,
+        rec: &mut Option<&mut Recorder<K>>,
+        shard: impl Fn(&ShardLayout) -> T,
+    ) -> Outcome {
+        fn named<S: Scheduler>((report, s): (SimReport, Vec<S>)) -> Outcome {
+            (report, None, s[0].name())
+        }
+        match self.cfg.strategy {
+            Strategy::Random => named(self.engine(rec, &shard, Random::shard)),
+            Strategy::Sorted => named(self.engine(rec, &shard, Sorted::shard)),
+            Strategy::Dynamic => named(self.engine(rec, &shard, Dynamic::shard)),
+            Strategy::TwoPhase(choice) => {
+                let threshold = |tasks| match (choice, self.beta_used) {
+                    (BetaChoice::Phase1Fraction(f), _) => phase1_fraction_threshold(tasks, f),
+                    (_, Some(b)) => beta_threshold(tasks, b),
+                    _ => unreachable!("β resolved above for non-fraction choices"),
+                };
+                let (report, scheds) = self.engine(rec, &shard, |space: T, p| {
+                    TwoPhase::shard(space, p, threshold(space.tasks()))
+                });
+                // Per-shard two-phase accounting sums into the global split.
+                let split = scheds.iter().fold((0, 0, 0, 0), |acc, s| {
+                    (
+                        acc.0 + s.phase1_blocks(),
+                        acc.1 + s.phase2_blocks(),
+                        acc.2 + s.phase1_tasks(),
+                        acc.3 + s.phase2_tasks(),
+                    )
+                });
+                (report, Some(split), scheds[0].name())
+            }
+            Strategy::Static => unreachable!("rejected by validate()"),
+        }
+    }
+
+    /// Runs the flat engine over the full task space, or the tree engine
+    /// with one scheduler per sub-master's shard. With a single shard the
+    /// tree RNG is the flat run stream (`rng_for(seed, STREAM_RUN)`),
+    /// pinning bit-identity with the flat engine; with several, shard `j`
+    /// gets its own derived stream.
+    fn engine<T: TaskSpace, S: Scheduler + Send, K: StreamingSink>(
+        &self,
+        rec: &mut Option<&mut Recorder<K>>,
+        shard: impl Fn(&ShardLayout) -> T,
+        make: impl Fn(T, usize) -> S,
+    ) -> (SimReport, Vec<S>) {
+        let (cfg, seed) = (self.cfg, self.seed);
+        let Topology::Tree { submasters } = cfg.topology else {
+            let sched = make(T::square(cfg.kernel.n()), cfg.processors);
+            let mut rng = rng_for(seed, STREAM_RUN);
+            let (report, sched) = drive(self.platform, cfg, sched, &mut rng, rec);
+            return (report, vec![sched]);
+        };
+        // The root statically splits workers and grid across sub-masters;
+        // each shard runs its flat strategy unchanged.
+        let plan = plan_shards(self.platform, submasters, cfg.kernel.n());
+        let single = plan.len() == 1;
+        let shards = plan
+            .iter()
+            .enumerate()
+            .map(|(j, s)| ShardSpec {
+                scheduler: make(shard(s), s.len),
+                start: s.start,
+                len: s.len,
+                input_blocks: tree_input_blocks(cfg.kernel, s),
+                rng: if single {
+                    rng_for(seed, STREAM_RUN)
+                } else {
+                    rng_for(derive_seed(seed, j as u64), STREAM_RUN)
+                },
+            })
+            .collect();
+        let (outcome, scheds) = run_tree_with(
+            self.platform,
+            cfg.speed_model,
+            &cfg.failures,
+            cfg.network,
+            shards,
+            TreeOpts {
+                threads: cfg.tree_threads,
+            },
+            rec.as_deref_mut(),
+        );
+        (outcome.report, scheds)
+    }
 }
 
 /// Aggregates a campaign's per-trial results (in order) into a
@@ -612,6 +479,35 @@ mod tests {
                     strategy
                 );
                 assert!(r.normalized_comm >= 0.99, "below lower bound?!");
+            }
+        }
+    }
+
+    #[test]
+    fn labels_are_the_names_of_the_schedulers_run_once_builds() {
+        for kernel in [Kernel::Outer { n: 6 }, Kernel::Matmul { n: 4 }] {
+            for strategy in [
+                Strategy::Random,
+                Strategy::Sorted,
+                Strategy::Dynamic,
+                Strategy::TwoPhase(BetaChoice::Fixed(2.0)),
+                Strategy::TwoPhase(BetaChoice::Phase1Fraction(0.5)),
+                Strategy::Static,
+            ] {
+                for topology in [Topology::Flat, Topology::Tree { submasters: 2 }] {
+                    let cfg = ExperimentConfig {
+                        kernel,
+                        strategy,
+                        processors: 3,
+                        topology,
+                        ..Default::default()
+                    };
+                    if cfg.validate().is_err() {
+                        continue;
+                    }
+                    let (_, name) = run_once_impl(&cfg, 5, None::<&mut Recorder>);
+                    assert_eq!(strategy.label(kernel), name, "{kernel:?}/{topology:?}");
+                }
             }
         }
     }

@@ -1,5 +1,5 @@
-//! The matrix-multiplication kernel `C = A·B` and its dynamic scheduling
-//! strategies (paper §4).
+//! The matrix-multiplication kernel `C = A·B` (paper §4): its task cube,
+//! and the outer-product strategies of `hetsched-outer` lifted onto it.
 //!
 //! All three matrices are split into `n × n` blocks of size `l × l`; the
 //! elementary task `T(i,j,k)` performs the block update
@@ -9,22 +9,30 @@
 //! knows the index sets `I`, `J`, `K` holds the sub-bricks
 //! `A[I,K]`, `B[K,J]`, `C[I,J]` and can run every task in `I × J × K`.
 //!
-//! The four strategies mirror the outer-product ones:
-//! [`RandomMatrix`],
-//! [`SortedMatrix`],
-//! [`DynamicMatrix`] (grow `I`, `J`, `K` by one
-//! random index each per request, shipping the `3(2y+1)` new boundary
-//! blocks), and [`DynamicMatrix2Phases`]
-//! (switch to random when fewer than `e^{−β}·n³` tasks remain).
+//! This crate supplies only that geometry — the [`Cube`] task space, the
+//! per-worker [`WorkerCube`] and Algorithm 3's extension round (grow `I`,
+//! `J`, `K` by one random index each, shipping the `3(2y+1)` new boundary
+//! blocks). The strategies themselves are written once in `hetsched-outer`;
+//! the paper's four names are aliases over the cube:
+//! [`RandomMatrix`], [`SortedMatrix`], [`DynamicMatrix`] and
+//! [`DynamicMatrix2Phases`] (switch to random when fewer than `e^{−β}·n³`
+//! tasks remain).
 //!
 //! Block accounting counts `C` traffic like the paper does: result blocks
 //! travel worker→master instead of master→worker, but only the total volume
 //! matters.
 
 pub mod cube;
-pub mod state;
-pub mod strategies;
 
-pub use cube::WorkerCube;
-pub use state::MatmulState;
-pub use strategies::{DynamicMatrix, DynamicMatrix2Phases, RandomMatrix, SortedMatrix};
+pub use cube::{Cube, WorkerCube};
+
+use hetsched_outer::{Dynamic, Random, Sorted, TwoPhase};
+
+/// [`Random`] over the matrix-multiplication cube.
+pub type RandomMatrix = Random<Cube>;
+/// [`Sorted`] over the matrix-multiplication cube.
+pub type SortedMatrix = Sorted<Cube>;
+/// [`Dynamic`] over the matrix-multiplication cube (Algorithm 3).
+pub type DynamicMatrix = Dynamic<Cube>;
+/// [`TwoPhase`] over the matrix-multiplication cube.
+pub type DynamicMatrix2Phases = TwoPhase<Cube>;

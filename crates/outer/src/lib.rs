@@ -1,5 +1,6 @@
-//! The outer-product kernel `M = a·bᵗ` and its dynamic scheduling
-//! strategies (paper §3).
+//! The outer-product kernel `M = a·bᵗ`, and the four dynamic scheduling
+//! strategies of the paper written once for every kernel (paper §3, lifted
+//! to matrix multiplication in §4).
 //!
 //! Vectors `a` and `b` are split into `n = N/l` blocks; task `T(i,j)`
 //! computes the block outer product `a_i·b_jᵗ`. There are `n²` independent
@@ -10,22 +11,40 @@
 //!
 //! Four strategies, in increasing order of data awareness:
 //!
-//! * [`RandomOuter`] — uniformly random unprocessed
-//!   task per request; ship whatever inputs are missing.
-//! * [`SortedOuter`] — tasks in lexicographic
-//!   order; ship missing inputs.
-//! * [`DynamicOuter`] — per request the master
-//!   ships one *new* `a` block and one *new* `b` block chosen uniformly at
-//!   random, and allocates every still-unprocessed task the worker can now
-//!   form (the new row/column of its known sub-grid).
-//! * [`DynamicOuter2Phases`] —
-//!   `DynamicOuter` until fewer than `e^{−β}·n²` tasks remain, then
-//!   `RandomOuter` for the end game.
+//! * [`Random`] — uniformly random unprocessed task per request; ship
+//!   whatever inputs are missing.
+//! * [`Sorted`] — tasks in lexicographic order; ship missing inputs.
+//! * [`Dynamic`] — per request, extend the worker's index sets by one new
+//!   random index each and allocate every still-unprocessed task the worker
+//!   can now form (for the outer product: ship one new `a` and one new `b`
+//!   block, take the new row and column of its known sub-grid).
+//! * [`TwoPhase`] — `Dynamic` until fewer than `e^{−β}` of the tasks
+//!   remain, then `Random` for the end game.
+//!
+//! Each is generic over a [`TaskSpace`], the seam a kernel fills in: its
+//! shape, its per-worker record, the block cost of a task's missing inputs
+//! and one extension round. This crate supplies the outer product's
+//! [`Grid`]; `hetsched-matmul` supplies the matrix-multiplication cube. The
+//! paper's names are aliases: [`RandomOuter`] is `Random<Grid>`, and so on.
 
-pub mod ownership;
-pub mod state;
+pub mod grid;
+pub mod pool;
+pub mod space;
 pub mod strategies;
 
-pub use ownership::{VectorOwnership, WorkerData};
-pub use state::OuterState;
-pub use strategies::{DynamicOuter, DynamicOuter2Phases, RandomOuter, SortedOuter};
+pub use grid::{Grid, WorkerData};
+pub use pool::TaskPool;
+pub use space::{Names, TaskSpace};
+pub use strategies::{
+    beta_threshold, dynamic_step, phase1_fraction_threshold, random_step, Dynamic, Random, Sorted,
+    TwoPhase,
+};
+
+/// [`Random`] over the outer-product grid.
+pub type RandomOuter = Random<Grid>;
+/// [`Sorted`] over the outer-product grid.
+pub type SortedOuter = Sorted<Grid>;
+/// [`Dynamic`] over the outer-product grid (Algorithm 1).
+pub type DynamicOuter = Dynamic<Grid>;
+/// [`TwoPhase`] over the outer-product grid (Algorithm 2).
+pub type DynamicOuter2Phases = TwoPhase<Grid>;

@@ -1,90 +1,95 @@
-//! `DynamicOuter`: the data-aware strategy (Algorithm 1).
+//! `DynamicOuter` / `DynamicMatrix`: the data-aware strategy
+//! (Algorithms 1 and 3).
 
-use crate::ownership::WorkerData;
-use crate::state::OuterState;
+use crate::grid::Grid;
+use crate::pool::TaskPool;
+use crate::space::TaskSpace;
 use crate::strategies::dynamic_step;
 use hetsched_platform::ProcId;
 use hetsched_sim::{Allocation, Scheduler};
 use rand::rngs::StdRng;
 
-/// Per request, ships one new random `a` block and one new random `b` block
-/// to the worker and allocates every still-unprocessed task of the new
-/// row/column of the worker's known sub-grid.
+/// Per request, grows the worker's index sets by one new random index each,
+/// ships the blocks that brings, and allocates every still-unprocessed task
+/// the worker can now form.
 ///
-/// Efficient in steady state (2 blocks buy `Θ(x·n)` tasks) but pathological
-/// in the end game: when few tasks remain, extensions keep enabling nothing
-/// and the worker buys blocks without work — the motivation for
-/// [`DynamicOuter2Phases`](crate::strategies::DynamicOuter2Phases).
+/// Efficient in steady state (a few blocks buy a whole new row and column,
+/// or three slabs, of tasks) but pathological in the end game: when few
+/// tasks remain, extensions keep enabling nothing and the worker buys
+/// blocks without work — the motivation for [`TwoPhase`](crate::TwoPhase).
 #[derive(Clone, Debug)]
-pub struct DynamicOuter {
-    state: OuterState,
-    workers: Vec<WorkerData>,
+pub struct Dynamic<S: TaskSpace> {
+    pool: TaskPool<S>,
+    workers: Vec<S::Worker>,
 }
 
-impl DynamicOuter {
-    /// `n` blocks per vector, `p` workers.
+impl<S: TaskSpace> Dynamic<S> {
+    /// `n` blocks per dimension, `p` workers.
     pub fn new(n: usize, p: usize) -> Self {
-        DynamicOuter {
-            state: OuterState::new(n),
-            workers: WorkerData::fleet(n, p),
+        Self::shard(S::square(n), p)
+    }
+
+    /// `p` workers over `space`: the full problem or a hierarchy shard.
+    pub fn shard(space: S, p: usize) -> Self {
+        Dynamic {
+            pool: TaskPool::new(space),
+            workers: space.fleet(p),
         }
     }
 
-    /// Rectangular shard variant (`rows × cols` task grid) for the
-    /// hierarchical tree topology.
-    pub fn rect(rows: usize, cols: usize, p: usize) -> Self {
-        DynamicOuter {
-            state: OuterState::rect(rows, cols),
-            workers: WorkerData::fleet_rect(rows, cols, p),
-        }
+    /// Read-only view of the task pool (for audits).
+    pub fn state(&self) -> &TaskPool<S> {
+        &self.pool
     }
 
-    /// Read-only view of the task state (for audits).
-    pub fn state(&self) -> &OuterState {
-        &self.state
-    }
-
-    /// Read-only view of a worker's ownership (for audits).
-    pub fn worker(&self, k: ProcId) -> &WorkerData {
+    /// Read-only view of a worker's blocks (for audits).
+    pub fn worker(&self, k: ProcId) -> &S::Worker {
         &self.workers[k.idx()]
     }
 }
 
-impl Scheduler for DynamicOuter {
+impl Dynamic<Grid> {
+    /// [`shard`](Self::shard) over a `rows × cols` outer-product grid.
+    pub fn rect(rows: usize, cols: usize, p: usize) -> Self {
+        Self::shard(Grid::rect(rows, cols), p)
+    }
+}
+
+impl<S: TaskSpace> Scheduler for Dynamic<S> {
     fn on_request(&mut self, k: ProcId, rng: &mut StdRng, out: &mut Vec<u32>) -> Allocation {
-        dynamic_step(&mut self.state, &mut self.workers[k.idx()], rng, out)
+        dynamic_step(&mut self.pool, &mut self.workers[k.idx()], rng, out)
     }
 
     fn on_tasks_lost(&mut self, ids: &[u32]) {
         // Reinserted tasks become orphans: `dynamic_step` hands each one to
-        // the first requester that already owns its row and column (zero
-        // new blocks), or sweeps them up once a worker reaches full
-        // knowledge.
+        // the first requester that already holds its inputs (zero new
+        // blocks), or sweeps them up once a worker reaches full knowledge.
         for &id in ids {
-            self.state.reinsert(id);
+            self.pool.reinsert(id);
         }
     }
 
     fn useful_fraction(&self, k: ProcId) -> Option<f64> {
-        Some(self.workers[k.idx()].knowledge_fraction())
+        Some(S::knowledge(&self.workers[k.idx()]))
     }
 
     fn remaining(&self) -> usize {
-        self.state.remaining()
+        self.pool.remaining()
     }
 
     fn total_tasks(&self) -> usize {
-        self.state.total()
+        self.pool.total()
     }
 
     fn name(&self) -> &'static str {
-        "DynamicOuter"
+        S::NAMES.dynamic
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DynamicOuter;
     use hetsched_platform::{outer_lower_bound, Platform, SpeedDistribution, SpeedModel};
     use hetsched_util::rng::rng_for;
 
@@ -108,12 +113,9 @@ mod tests {
         let (dyn_report, _) =
             hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, DynamicOuter::new(100, 20))
                 .run(&mut rng_for(1, 1));
-        let (rnd_report, _) = hetsched_sim::Engine::new(
-            &pf,
-            SpeedModel::Fixed,
-            crate::strategies::RandomOuter::new(100, 20),
-        )
-        .run(&mut rng_for(1, 1));
+        let (rnd_report, _) =
+            hetsched_sim::Engine::new(&pf, SpeedModel::Fixed, crate::RandomOuter::new(100, 20))
+                .run(&mut rng_for(1, 1));
         let d = dyn_report.normalized(lb);
         let r = rnd_report.normalized(lb);
         assert!(d < r, "dynamic {d} should beat random {r}");

@@ -1,141 +1,115 @@
-//! The four outer-product scheduling strategies.
+//! The four scheduling strategies, written once over any [`TaskSpace`].
 //!
 //! All strategies share two primitive steps, factored here so that
-//! `DynamicOuter2Phases` is *literally* `DynamicOuter` followed by
-//! `RandomOuter` on the same state:
+//! [`TwoPhase`] is *literally* [`Dynamic`] followed by [`Random`] on the
+//! same pool:
 //!
-//! * `random_step` — allocate one uniformly random unprocessed task and
+//! * [`random_step`] — allocate one uniformly random unprocessed task and
 //!   ship its missing inputs (Algorithm 2, phase 2);
-//! * `dynamic_step` — ship one new random `a` block and one new random
-//!   `b` block, allocate every unprocessed task they enable, and repeat if
-//!   that enabled nothing (Algorithm 1).
+//! * [`dynamic_step`] — run extension rounds of the worker's index sets,
+//!   allocating every unprocessed task they enable, until one enables
+//!   something (Algorithms 1 and 3).
 
 mod dynamic;
 mod random;
 mod sorted;
 mod two_phase;
 
-pub use dynamic::DynamicOuter;
-pub use random::RandomOuter;
-pub use sorted::SortedOuter;
-pub use two_phase::DynamicOuter2Phases;
+pub use dynamic::Dynamic;
+pub use random::Random;
+pub use sorted::Sorted;
+pub use two_phase::{beta_threshold, phase1_fraction_threshold, TwoPhase};
 
-use crate::ownership::WorkerData;
-use crate::state::OuterState;
+use crate::pool::TaskPool;
+use crate::space::TaskSpace;
 use hetsched_sim::Allocation;
 use rand::rngs::StdRng;
 
 /// One step of the basic randomized strategy: pick a uniformly random
-/// unprocessed task `T(i,j)`, ship `a_i` and/or `b_j` if missing, allocate
-/// the task. Allocated task ids are appended to `out`.
-pub(crate) fn random_step(
-    state: &mut OuterState,
-    worker: &mut WorkerData,
+/// unprocessed task, ship the inputs the worker is missing, allocate the
+/// task. Allocated task ids are appended to `out`.
+pub fn random_step<S: TaskSpace>(
+    pool: &mut TaskPool<S>,
+    worker: &mut S::Worker,
     rng: &mut StdRng,
     out: &mut Vec<u32>,
 ) -> Allocation {
-    let Some((i, j)) = state.random_unprocessed(rng) else {
+    let Some(id) = pool.random_unprocessed(rng) else {
         return Allocation::DONE;
     };
-    let fresh = state.mark_processed(i, j);
+    let fresh = pool.claim(id, out);
     debug_assert!(fresh);
-    out.push(state.task_id(i, j));
-    let mut blocks = 0;
-    if worker.a.acquire(i) {
-        blocks += 1;
+    Allocation {
+        tasks: 1,
+        blocks: pool.space().acquire_inputs(worker, id),
     }
-    if worker.b.acquire(j) {
-        blocks += 1;
-    }
-    Allocation { tasks: 1, blocks }
 }
 
-/// One step of the data-aware strategy: extend the worker's known index
-/// sets `I` and `J` by one random unknown row and column, allocating every
-/// unprocessed task of the new row/column of its known sub-grid. Repeats
-/// the extension (still paying for the shipped blocks) until at least one
-/// task is allocated or the problem is finished — a worker that knows both
-/// full vectors can have no unprocessed task left, so the loop terminates.
-pub(crate) fn dynamic_step(
-    state: &mut OuterState,
-    worker: &mut WorkerData,
+/// One step of the data-aware strategy: extension rounds
+/// ([`TaskSpace::extend`]) until at least one task is allocated or the
+/// problem is finished, still paying for the blocks of the rounds that
+/// enabled nothing. A worker whose index sets are full can form every
+/// task, so the loop terminates.
+pub fn dynamic_step<S: TaskSpace>(
+    pool: &mut TaskPool<S>,
+    worker: &mut S::Worker,
     rng: &mut StdRng,
     out: &mut Vec<u32>,
 ) -> Allocation {
-    if state.has_orphans() {
+    if !pool.orphans().is_empty() {
         // Failure-reinserted tasks whose inputs this worker already holds
-        // are invisible to the extension loop below (it only scans the
-        // newly bought row/column), so re-allocate them first — at zero
-        // shipping cost, since both inputs are on the worker.
-        let known: Vec<u32> = state
-            .orphans()
-            .iter()
-            .copied()
-            .filter(|&id| {
-                let (i, j) = state.coords(id);
-                worker.a.owns(i) && worker.b.owns(j)
-            })
-            .collect();
-        if !known.is_empty() {
-            for &id in &known {
-                let (i, j) = state.coords(id);
-                let fresh = state.mark_processed(i, j);
+        // are invisible to the extension rounds below (they only scan the
+        // newly grown boundary), so re-allocate them first — at zero
+        // shipping cost. The ids go straight to `out` and are marked from
+        // there, so the pre-pass allocates nothing on the heap.
+        let start = out.len();
+        let space = pool.space();
+        out.extend(
+            pool.orphans()
+                .iter()
+                .copied()
+                .filter(|&id| space.holds_inputs(worker, id)),
+        );
+        if out.len() > start {
+            for &id in &out[start..] {
+                let fresh = pool.take(id);
                 debug_assert!(fresh);
-                out.push(id);
             }
             return Allocation {
-                tasks: known.len(),
+                tasks: out.len() - start,
                 blocks: 0,
             };
         }
     }
     let mut blocks = 0u64;
     loop {
-        if state.remaining() == 0 {
+        if pool.remaining() == 0 {
             return Allocation { tasks: 0, blocks };
         }
-        let new_a = worker.a.acquire_random(rng);
-        let mut tasks = 0usize;
-        if let Some(i) = new_a {
-            blocks += 1;
-            // New row i against the b blocks known *before* this step's new
-            // column, so the (i, j) corner is counted exactly once below.
-            for &j2 in worker.b.owned_list() {
-                if state.mark_processed(i, j2 as usize) {
-                    out.push(state.task_id(i, j2 as usize));
-                    tasks += 1;
+        match S::extend(pool, worker, rng, out) {
+            Some(grown) if grown.tasks > 0 => {
+                return Allocation {
+                    tasks: grown.tasks,
+                    blocks: blocks + grown.blocks,
                 }
             }
-        }
-        let new_b = worker.b.acquire_random(rng);
-        if let Some(j) = new_b {
-            blocks += 1;
-            // New column j against all known a blocks, including a fresh i.
-            for &i2 in worker.a.owned_list() {
-                if state.mark_processed(i2 as usize, j) {
-                    out.push(state.task_id(i2 as usize, j));
+            Some(grown) => blocks += grown.blocks,
+            None => {
+                // Every index set is full: the worker's known brick is the
+                // whole task space, so normally nothing remains in its
+                // reach (full knowledge covers every task, and some other
+                // worker already won each race) — but failure-reinserted
+                // tasks may sit in the pool, and this worker can compute
+                // them all.
+                let mut tasks = 0usize;
+                while let Some(id) = pool.random_unprocessed(rng) {
+                    let fresh = pool.claim(id, out);
+                    debug_assert!(fresh);
+                    blocks += pool.space().acquire_inputs(worker, id);
                     tasks += 1;
                 }
+                return Allocation { tasks, blocks };
             }
-        }
-        if new_a.is_none() && new_b.is_none() {
-            // Worker holds both vectors entirely. Normally nothing remains
-            // in its reach (any still-remaining task belongs to a race some
-            // other worker already won, and there is none: full knowledge
-            // covers the grid) — but failure-reinserted tasks may sit in
-            // the pool, and this worker can compute them all without
-            // further shipping.
-            let mut tasks = 0usize;
-            while let Some((i, j)) = state.random_unprocessed(rng) {
-                let fresh = state.mark_processed(i, j);
-                debug_assert!(fresh);
-                out.push(state.task_id(i, j));
-                tasks += 1;
-            }
-            return Allocation { tasks, blocks };
-        }
-        if tasks > 0 {
-            return Allocation { tasks, blocks };
         }
     }
 }
@@ -143,28 +117,29 @@ pub(crate) fn dynamic_step(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Grid, WorkerData};
     use hetsched_util::rng::rng_for;
 
     // Most tests here predate the task-id sink and only care about counts;
     // these shims (which shadow the glob imports) discard the ids.
-    fn random_step(s: &mut OuterState, w: &mut WorkerData, r: &mut StdRng) -> Allocation {
+    fn random_step(s: &mut TaskPool<Grid>, w: &mut WorkerData, r: &mut StdRng) -> Allocation {
         super::random_step(s, w, r, &mut Vec::new())
     }
-    fn dynamic_step(s: &mut OuterState, w: &mut WorkerData, r: &mut StdRng) -> Allocation {
+    fn dynamic_step(s: &mut TaskPool<Grid>, w: &mut WorkerData, r: &mut StdRng) -> Allocation {
         super::dynamic_step(s, w, r, &mut Vec::new())
     }
 
     #[test]
     fn steps_report_allocated_task_ids() {
-        let mut state = OuterState::new(6);
-        let mut w = WorkerData::new(6);
+        let mut state = TaskPool::new(Grid::square(6));
+        let mut w = Grid::square(6).worker();
         let mut rng = rng_for(99, 0);
         let mut out = Vec::new();
         let a = super::dynamic_step(&mut state, &mut w, &mut rng, &mut out);
         assert_eq!(out.len(), a.tasks);
         for &id in &out {
-            let (i, j) = state.coords(id);
-            assert!(state.is_processed(i, j));
+            let (i, j) = state.space().coords(id);
+            assert!(state.is_processed(id));
             assert!(w.a.owns(i) && w.b.owns(j), "worker holds the inputs");
         }
         out.clear();
@@ -175,8 +150,8 @@ mod tests {
 
     #[test]
     fn random_step_ships_at_most_two_blocks() {
-        let mut state = OuterState::new(8);
-        let mut w = WorkerData::new(8);
+        let mut state = TaskPool::new(Grid::square(8));
+        let mut w = Grid::square(8).worker();
         let mut rng = rng_for(0, 0);
         let a = random_step(&mut state, &mut w, &mut rng);
         assert_eq!(a.tasks, 1);
@@ -193,8 +168,8 @@ mod tests {
     #[test]
     fn single_worker_random_ships_each_block_once() {
         let n = 6;
-        let mut state = OuterState::new(n);
-        let mut w = WorkerData::new(n);
+        let mut state = TaskPool::new(Grid::square(n));
+        let mut w = Grid::square(n).worker();
         let mut rng = rng_for(1, 0);
         let mut total_blocks = 0;
         while state.remaining() > 0 {
@@ -206,8 +181,8 @@ mod tests {
 
     #[test]
     fn dynamic_step_first_call_allocates_one_task_two_blocks() {
-        let mut state = OuterState::new(8);
-        let mut w = WorkerData::new(8);
+        let mut state = TaskPool::new(Grid::square(8));
+        let mut w = Grid::square(8).worker();
         let mut rng = rng_for(2, 0);
         let a = dynamic_step(&mut state, &mut w, &mut rng);
         // First extension: row+column of a 1×1 grid = the single task (i,j).
@@ -221,8 +196,8 @@ mod tests {
     fn dynamic_step_kth_call_allocates_2k_minus_1_when_alone() {
         // With a single worker nothing is stolen, so the k-th extension
         // allocates the full new row+column: 2k−1 tasks.
-        let mut state = OuterState::new(10);
-        let mut w = WorkerData::new(10);
+        let mut state = TaskPool::new(Grid::square(10));
+        let mut w = Grid::square(10).worker();
         let mut rng = rng_for(3, 0);
         for k in 1..=10u64 {
             let a = dynamic_step(&mut state, &mut w, &mut rng);
@@ -236,9 +211,9 @@ mod tests {
     #[test]
     fn dynamic_step_returns_immediately_when_no_tasks_remain() {
         let n = 5;
-        let mut state = OuterState::new(n);
-        let mut w1 = WorkerData::new(n);
-        let mut w2 = WorkerData::new(n);
+        let mut state = TaskPool::new(Grid::square(n));
+        let mut w1 = Grid::square(n).worker();
+        let mut w2 = Grid::square(n).worker();
         let mut rng = rng_for(4, 0);
         // w2 learns one pair first.
         let first = dynamic_step(&mut state, &mut w2, &mut rng);
@@ -262,14 +237,14 @@ mod tests {
         let mut retried = false;
         for seed in 0..20u64 {
             let n = 3;
-            let mut state = OuterState::new(n);
-            let mut w = WorkerData::new(n);
+            let mut state = TaskPool::new(Grid::square(n));
+            let mut w = Grid::square(n).worker();
             w.a.acquire(0);
             w.b.acquire(0);
             for i in 0..n {
                 for j in 0..n {
                     if (i, j) != (2, 2) {
-                        state.mark_processed(i, j);
+                        state.take(state.space().id(i, j));
                     }
                 }
             }
@@ -287,8 +262,8 @@ mod tests {
 
     #[test]
     fn steps_never_allocate_processed_tasks() {
-        let mut state = OuterState::new(12);
-        let mut workers = WorkerData::fleet(12, 3);
+        let mut state = TaskPool::new(Grid::square(12));
+        let mut workers = Grid::square(12).fleet(3);
         let mut rng = rng_for(5, 0);
         let mut allocated = 0usize;
         let mut turn = 0usize;

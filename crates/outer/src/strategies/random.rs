@@ -1,7 +1,7 @@
-//! `RandomOuter`: the locality-oblivious baseline.
+//! `RandomOuter` / `RandomMatrix`: the locality-oblivious baseline.
 
-use crate::ownership::WorkerData;
-use crate::state::OuterState;
+use crate::pool::TaskPool;
+use crate::space::TaskSpace;
 use crate::strategies::random_step;
 use hetsched_platform::ProcId;
 use hetsched_sim::{Allocation, Scheduler};
@@ -10,73 +10,60 @@ use rand::rngs::StdRng;
 /// Allocates a uniformly random unprocessed task per request and ships the
 /// missing inputs — the MapReduce-style baseline the paper argues against.
 #[derive(Clone, Debug)]
-pub struct RandomOuter {
-    state: OuterState,
-    workers: Vec<WorkerData>,
+pub struct Random<S: TaskSpace> {
+    pool: TaskPool<S>,
+    workers: Vec<S::Worker>,
 }
 
-impl RandomOuter {
-    /// `n` blocks per vector, `p` workers.
+impl<S: TaskSpace> Random<S> {
+    /// `n` blocks per dimension, `p` workers.
     pub fn new(n: usize, p: usize) -> Self {
-        RandomOuter {
-            state: OuterState::new(n),
-            workers: WorkerData::fleet(n, p),
+        Self::shard(S::square(n), p)
+    }
+
+    /// `p` workers over `space`: the full problem or a hierarchy shard.
+    pub fn shard(space: S, p: usize) -> Self {
+        Random {
+            pool: TaskPool::new(space),
+            workers: space.fleet(p),
         }
-    }
-
-    /// Rectangular shard variant (`rows × cols` task grid) for the
-    /// hierarchical tree topology.
-    pub fn rect(rows: usize, cols: usize, p: usize) -> Self {
-        RandomOuter {
-            state: OuterState::rect(rows, cols),
-            workers: WorkerData::fleet_rect(rows, cols, p),
-        }
-    }
-
-    /// Read-only view of the task state (for audits).
-    pub fn state(&self) -> &OuterState {
-        &self.state
-    }
-
-    /// Read-only view of a worker's ownership (for audits).
-    pub fn worker(&self, k: ProcId) -> &WorkerData {
-        &self.workers[k.idx()]
     }
 }
 
-impl Scheduler for RandomOuter {
+impl<S: TaskSpace> Scheduler for Random<S> {
     fn on_request(&mut self, k: ProcId, rng: &mut StdRng, out: &mut Vec<u32>) -> Allocation {
-        random_step(&mut self.state, &mut self.workers[k.idx()], rng, out)
+        random_step(&mut self.pool, &mut self.workers[k.idx()], rng, out)
     }
 
     fn on_tasks_lost(&mut self, ids: &[u32]) {
         // Back into the uniform pool; a future random draw re-allocates
         // them, shipping only the inputs the new owner is missing.
         for &id in ids {
-            self.state.reinsert(id);
+            self.pool.reinsert(id);
         }
     }
 
     fn useful_fraction(&self, k: ProcId) -> Option<f64> {
-        Some(self.workers[k.idx()].knowledge_fraction())
+        Some(S::knowledge(&self.workers[k.idx()]))
     }
 
     fn remaining(&self) -> usize {
-        self.state.remaining()
+        self.pool.remaining()
     }
 
     fn total_tasks(&self) -> usize {
-        self.state.total()
+        self.pool.total()
     }
 
     fn name(&self) -> &'static str {
-        "RandomOuter"
+        S::NAMES.random
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RandomOuter;
     use hetsched_platform::{Platform, SpeedModel};
     use hetsched_util::rng::rng_for;
 

@@ -1,78 +1,67 @@
-//! `SortedOuter`: lexicographic task order.
+//! `SortedOuter` / `SortedMatrix`: lexicographic task order.
 
-use crate::ownership::WorkerData;
-use crate::state::OuterState;
+use crate::pool::TaskPool;
+use crate::space::TaskSpace;
 use hetsched_platform::ProcId;
 use hetsched_sim::{Allocation, Scheduler};
 use rand::rngs::StdRng;
 
-/// Allocates tasks in lexicographic `(i, j)` order and ships the missing
-/// inputs. Equivalent to `RandomOuter` in its obliviousness to data
-/// locality, but with a deterministic issue order: a worker does get row
-/// reuse for consecutive tasks of the same row, which is why it tracks
-/// slightly below `RandomOuter` in the paper's figures.
+/// Allocates tasks in lexicographic order (increasing task id) and ships
+/// the missing inputs. As oblivious to data locality as
+/// [`Random`](crate::Random), but consecutive tasks share inputs (a row
+/// block of the outer product, the `C` block and often an `A`/`B` row of
+/// the matrix product), which is why it tracks slightly below `Random` in
+/// the paper's figures.
 #[derive(Clone, Debug)]
-pub struct SortedOuter {
-    state: OuterState,
-    workers: Vec<WorkerData>,
+pub struct Sorted<S: TaskSpace> {
+    pool: TaskPool<S>,
+    workers: Vec<S::Worker>,
     cursor: u32,
 }
 
-impl SortedOuter {
-    /// `n` blocks per vector, `p` workers.
+impl<S: TaskSpace> Sorted<S> {
+    /// `n` blocks per dimension, `p` workers.
     pub fn new(n: usize, p: usize) -> Self {
-        SortedOuter {
-            state: OuterState::new(n),
-            workers: WorkerData::fleet(n, p),
+        Self::shard(S::square(n), p)
+    }
+
+    /// `p` workers over `space`: the full problem or a hierarchy shard.
+    pub fn shard(space: S, p: usize) -> Self {
+        Sorted {
+            pool: TaskPool::new(space),
+            workers: space.fleet(p),
             cursor: 0,
         }
     }
 
-    /// Rectangular shard variant (`rows × cols` task grid) for the
-    /// hierarchical tree topology.
-    pub fn rect(rows: usize, cols: usize, p: usize) -> Self {
-        SortedOuter {
-            state: OuterState::rect(rows, cols),
-            workers: WorkerData::fleet_rect(rows, cols, p),
-            cursor: 0,
-        }
-    }
-
-    /// Read-only view of the task state (for audits).
-    pub fn state(&self) -> &OuterState {
-        &self.state
+    /// The next task id the lexicographic scan examines.
+    pub fn cursor(&self) -> u32 {
+        self.cursor
     }
 }
 
-impl Scheduler for SortedOuter {
+impl<S: TaskSpace> Scheduler for Sorted<S> {
     fn on_request(&mut self, k: ProcId, _rng: &mut StdRng, out: &mut Vec<u32>) -> Allocation {
-        let total = self.state.total() as u32;
-        // Skip tasks already processed (possible if the cursor was advanced
-        // for another worker in a mixed/two-phase use of this scheduler).
-        while self.cursor < total {
-            let (i, j) = self.state.coords(self.cursor);
-            if !self.state.is_processed(i, j) {
-                break;
-            }
+        let total = self.pool.total() as u32;
+        // Skip tasks already processed (the cursor rewinds over a processed
+        // gap after a failure).
+        while self.cursor < total && self.pool.is_processed(self.cursor) {
             self.cursor += 1;
         }
         if self.cursor >= total {
             return Allocation::DONE;
         }
-        let (i, j) = self.state.coords(self.cursor);
+        let id = self.cursor;
         self.cursor += 1;
-        let fresh = self.state.mark_processed(i, j);
+        let fresh = self.pool.claim(id, out);
         debug_assert!(fresh);
-        out.push(self.state.task_id(i, j));
-        let worker = &mut self.workers[k.idx()];
-        let mut blocks = 0;
-        if worker.a.acquire(i) {
-            blocks += 1;
+        Allocation {
+            tasks: 1,
+            blocks: self
+                .pool
+                .space()
+                .acquire_inputs(&mut self.workers[k.idx()], id),
         }
-        if worker.b.acquire(j) {
-            blocks += 1;
-        }
-        Allocation { tasks: 1, blocks }
     }
 
     fn on_tasks_lost(&mut self, ids: &[u32]) {
@@ -80,32 +69,33 @@ impl Scheduler for SortedOuter {
         // in `on_request` re-walks the (processed) gap and re-allocates the
         // lost tasks in lexicographic order.
         for &id in ids {
-            if self.state.reinsert(id) {
+            if self.pool.reinsert(id) {
                 self.cursor = self.cursor.min(id);
             }
         }
     }
 
     fn useful_fraction(&self, k: ProcId) -> Option<f64> {
-        Some(self.workers[k.idx()].knowledge_fraction())
+        Some(S::knowledge(&self.workers[k.idx()]))
     }
 
     fn remaining(&self) -> usize {
-        self.state.remaining()
+        self.pool.remaining()
     }
 
     fn total_tasks(&self) -> usize {
-        self.state.total()
+        self.pool.total()
     }
 
     fn name(&self) -> &'static str {
-        "SortedOuter"
+        S::NAMES.sorted
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SortedOuter;
     use hetsched_platform::{Platform, SpeedModel};
     use hetsched_util::rng::rng_for;
 
@@ -116,7 +106,7 @@ mod tests {
         let mut order = Vec::new();
         let mut out = Vec::new();
         while s.remaining() > 0 {
-            let before = s.cursor;
+            let before = s.cursor();
             out.clear();
             let a = s.on_request(ProcId(0), &mut rng, &mut out);
             assert_eq!(a.tasks, 1);

@@ -1,23 +1,25 @@
-//! `DynamicOuter2Phases`: data-aware opening, random end game (Algorithm 2).
+//! `DynamicOuter2Phases` / `DynamicMatrix2Phases`: data-aware opening,
+//! random end game (Algorithm 2).
 
-use crate::ownership::WorkerData;
-use crate::state::OuterState;
+use crate::pool::TaskPool;
+use crate::space::TaskSpace;
 use crate::strategies::{dynamic_step, random_step};
 use hetsched_platform::ProcId;
 use hetsched_sim::{Allocation, Scheduler};
 use rand::rngs::StdRng;
 
-/// Runs [`DynamicOuter`](crate::strategies::DynamicOuter) while more than
-/// `threshold` tasks remain, then switches every worker to the
-/// [`RandomOuter`](crate::strategies::RandomOuter) behaviour.
+/// Runs [`Dynamic`](crate::Dynamic) while more than `threshold` tasks
+/// remain, then switches every worker to the [`Random`](crate::Random)
+/// behaviour.
 ///
-/// The paper sets `threshold = e^{−β}·n²` with `β` minimizing the analytic
-/// communication ratio (Theorem 6); [`with_beta`](Self::with_beta) wires
-/// that in directly, and `hetsched-analysis` computes the optimal `β`.
+/// The paper sets `threshold = e^{−β}·n²` (outer product) or `e^{−β}·n³`
+/// (matrix product) with `β` minimizing the analytic communication ratio
+/// (Theorem 6, §4.2); [`with_beta`](Self::with_beta) wires that in
+/// directly, and `hetsched-analysis` computes the optimal `β`.
 #[derive(Clone, Debug)]
-pub struct DynamicOuter2Phases {
-    state: OuterState,
-    workers: Vec<WorkerData>,
+pub struct TwoPhase<S: TaskSpace> {
+    pool: TaskPool<S>,
+    workers: Vec<S::Worker>,
     threshold: usize,
     // Per-phase accounting, used to validate Lemma 4 / Lemma 5 separately.
     phase1_blocks: u64,
@@ -26,68 +28,56 @@ pub struct DynamicOuter2Phases {
     phase2_tasks: usize,
 }
 
-impl DynamicOuter2Phases {
-    /// `n` blocks per vector, `p` workers; switch to the random phase when
-    /// at most `threshold` tasks remain.
+/// The switch threshold for `tasks` tasks under the paper's
+/// parameterization: switch when `e^{−β}` of them remain. Rounds to the
+/// nearest task, like [`phase1_fraction_threshold`] — the two agree for
+/// `fraction = 1 − e^{−β}` — so `β = 0` degenerates exactly to the pure
+/// random strategy.
+pub fn beta_threshold(tasks: usize, beta: f64) -> usize {
+    assert!(beta >= 0.0, "β must be non-negative");
+    ((-beta).exp() * tasks as f64).round() as usize
+}
+
+/// The switch threshold for `tasks` tasks under Fig. 2's parameterization:
+/// process `fraction ∈ [0, 1]` of them in phase 1, i.e. switch when
+/// `1 − fraction` of them remain.
+pub fn phase1_fraction_threshold(tasks: usize, fraction: f64) -> usize {
+    assert!((0.0..=1.0).contains(&fraction));
+    ((1.0 - fraction) * tasks as f64).round() as usize
+}
+
+impl<S: TaskSpace> TwoPhase<S> {
+    /// `n` blocks per dimension, `p` workers; switch to the random phase
+    /// when at most `threshold` tasks remain.
     pub fn new(n: usize, p: usize, threshold: usize) -> Self {
-        DynamicOuter2Phases {
-            state: OuterState::new(n),
-            workers: WorkerData::fleet(n, p),
-            threshold,
-            phase1_blocks: 0,
-            phase2_blocks: 0,
-            phase1_tasks: 0,
-            phase2_tasks: 0,
-        }
+        Self::shard(S::square(n), p, threshold)
     }
 
-    /// Paper parameterization: switch when `e^{−β}·n²` tasks remain.
-    /// Rounds to the nearest integer, like
-    /// [`with_phase1_fraction`](Self::with_phase1_fraction), so that
-    /// `β = 0` degenerates exactly to the pure random strategy.
+    /// Switch when `e^{−β}` of the tasks remain ([`beta_threshold`]).
     pub fn with_beta(n: usize, p: usize, beta: f64) -> Self {
-        assert!(beta >= 0.0, "β must be non-negative");
-        let threshold = ((-beta).exp() * (n * n) as f64).round() as usize;
-        Self::new(n, p, threshold)
+        let space = S::square(n);
+        Self::shard(space, p, beta_threshold(space.tasks(), beta))
     }
 
-    /// Fig. 2 parameterization: process `fraction ∈ [0, 1]` of the tasks in
-    /// phase 1 (i.e. switch when `1 − fraction` of the tasks remain).
+    /// Process `fraction` of the tasks in phase 1
+    /// ([`phase1_fraction_threshold`]).
     pub fn with_phase1_fraction(n: usize, p: usize, fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fraction));
-        let threshold = ((1.0 - fraction) * (n * n) as f64).round() as usize;
-        Self::new(n, p, threshold)
+        let space = S::square(n);
+        Self::shard(space, p, phase1_fraction_threshold(space.tasks(), fraction))
     }
 
-    /// Rectangular shard variant (`rows × cols` task grid) for the
-    /// hierarchical tree topology; switch when at most `threshold` tasks
-    /// remain.
-    pub fn rect(rows: usize, cols: usize, p: usize, threshold: usize) -> Self {
-        DynamicOuter2Phases {
-            state: OuterState::rect(rows, cols),
-            workers: WorkerData::fleet_rect(rows, cols, p),
+    /// `p` workers over `space` (the full problem or a hierarchy shard);
+    /// switch when at most `threshold` tasks remain.
+    pub fn shard(space: S, p: usize, threshold: usize) -> Self {
+        TwoPhase {
+            pool: TaskPool::new(space),
+            workers: space.fleet(p),
             threshold,
             phase1_blocks: 0,
             phase2_blocks: 0,
             phase1_tasks: 0,
             phase2_tasks: 0,
         }
-    }
-
-    /// [`with_beta`](Self::with_beta) over a rectangular shard: switch when
-    /// `e^{−β}` of the shard's own `rows·cols` tasks remain.
-    pub fn rect_with_beta(rows: usize, cols: usize, p: usize, beta: f64) -> Self {
-        assert!(beta >= 0.0, "β must be non-negative");
-        let threshold = ((-beta).exp() * (rows * cols) as f64).round() as usize;
-        Self::rect(rows, cols, p, threshold)
-    }
-
-    /// [`with_phase1_fraction`](Self::with_phase1_fraction) over a
-    /// rectangular shard.
-    pub fn rect_with_phase1_fraction(rows: usize, cols: usize, p: usize, fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fraction));
-        let threshold = ((1.0 - fraction) * (rows * cols) as f64).round() as usize;
-        Self::rect(rows, cols, p, threshold)
     }
 
     /// The switch-over threshold in remaining tasks.
@@ -97,7 +87,7 @@ impl DynamicOuter2Phases {
 
     /// True once the end game (random phase) has begun.
     pub fn in_phase2(&self) -> bool {
-        self.state.remaining() <= self.threshold
+        self.pool.remaining() <= self.threshold
     }
 
     /// Blocks shipped during phase 1 (Lemma 4's `V_Phase1`).
@@ -119,23 +109,18 @@ impl DynamicOuter2Phases {
     pub fn phase2_tasks(&self) -> usize {
         self.phase2_tasks
     }
-
-    /// Read-only view of the task state (for audits).
-    pub fn state(&self) -> &OuterState {
-        &self.state
-    }
 }
 
-impl Scheduler for DynamicOuter2Phases {
+impl<S: TaskSpace> Scheduler for TwoPhase<S> {
     fn on_request(&mut self, k: ProcId, rng: &mut StdRng, out: &mut Vec<u32>) -> Allocation {
         let worker = &mut self.workers[k.idx()];
-        if self.state.remaining() > self.threshold {
-            let a = dynamic_step(&mut self.state, worker, rng, out);
+        if self.pool.remaining() > self.threshold {
+            let a = dynamic_step(&mut self.pool, worker, rng, out);
             self.phase1_blocks += a.blocks;
             self.phase1_tasks += a.tasks;
             a
         } else {
-            let a = random_step(&mut self.state, worker, rng, out);
+            let a = random_step(&mut self.pool, worker, rng, out);
             self.phase2_blocks += a.blocks;
             self.phase2_tasks += a.tasks;
             a
@@ -148,7 +133,7 @@ impl Scheduler for DynamicOuter2Phases {
         // phase counters count (re-)allocations, so under failures their
         // sum exceeds `total_tasks` by the number of lost tasks.
         for &id in ids {
-            self.state.reinsert(id);
+            self.pool.reinsert(id);
         }
     }
 
@@ -157,26 +142,26 @@ impl Scheduler for DynamicOuter2Phases {
     }
 
     fn useful_fraction(&self, k: ProcId) -> Option<f64> {
-        Some(self.workers[k.idx()].knowledge_fraction())
+        Some(S::knowledge(&self.workers[k.idx()]))
     }
 
     fn remaining(&self) -> usize {
-        self.state.remaining()
+        self.pool.remaining()
     }
 
     fn total_tasks(&self) -> usize {
-        self.state.total()
+        self.pool.total()
     }
 
     fn name(&self) -> &'static str {
-        "DynamicOuter2Phases"
+        S::NAMES.two_phase
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategies::{DynamicOuter, RandomOuter};
+    use crate::{DynamicOuter, DynamicOuter2Phases, RandomOuter};
     use hetsched_platform::{outer_lower_bound, Platform, SpeedDistribution, SpeedModel};
     use hetsched_util::rng::rng_for;
 

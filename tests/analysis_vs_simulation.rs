@@ -222,7 +222,7 @@ fn lemma1_residual_density_matches_measurement() {
                 continue;
             }
             total_l += 1;
-            if !sched.state().is_processed(i, j) {
+            if !sched.state().is_processed(sched.state().space().id(i, j)) {
                 unprocessed_l += 1;
             }
         }
