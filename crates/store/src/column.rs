@@ -14,25 +14,60 @@
 //!   Floats round-trip *exactly*, which the golden round-trip test pins.
 //!
 //! Numeric chunks also carry a min/max zone map (NaN excluded) in the
-//! segment footer so predicate scans can skip chunks wholesale; string
-//! chunks are pruned by a dictionary-membership pre-pass that decodes
-//! only the dict header.
+//! segment footer so predicate scans can skip chunks wholesale. String
+//! chunks decode to their dictionary plus one id per row, and stay that
+//! way: queries test and group ids, compaction remaps them.
+//!
+//! Every decoder bounds what a count read from the file may reserve by
+//! the bytes left to hold it, so a corrupt count is an error, not an
+//! allocation failure.
 
+use std::collections::HashMap;
+
+use crate::schema::{ColumnType, Value};
 use crate::varint::{get_varint, put_varint, unzigzag, zigzag};
 
-/// Decoded values of one chunk of one column.
+/// Decoded values of one chunk of one column. Strings stay dictionary
+/// encoded. Decoders append, so compaction also uses this type to hold
+/// many chunks' cells back to back (see [`decode_into`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum ColumnData {
-    Str(Vec<String>),
+    Str(StrColumn),
     U64(Vec<u64>),
     I64(Vec<i64>),
     F64(Vec<f64>),
 }
 
+/// A dictionary-encoded string column: each cell is an index into
+/// `dict`. A decoded chunk's dictionary holds distinct entries in
+/// first-appearance order; a concatenation of chunks holds their
+/// dictionaries back to back, so an entry may repeat.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct StrColumn {
+    pub dict: Vec<String>,
+    pub ids: Vec<u32>,
+}
+
+impl StrColumn {
+    pub fn get(&self, i: usize) -> &str {
+        &self.dict[self.ids[i] as usize]
+    }
+}
+
 impl ColumnData {
+    /// An empty column of type `ty`.
+    pub fn empty(ty: ColumnType) -> ColumnData {
+        match ty {
+            ColumnType::Str => ColumnData::Str(StrColumn::default()),
+            ColumnType::U64 => ColumnData::U64(Vec::new()),
+            ColumnType::I64 => ColumnData::I64(Vec::new()),
+            ColumnType::F64 => ColumnData::F64(Vec::new()),
+        }
+    }
+
     pub fn len(&self) -> usize {
         match self {
-            ColumnData::Str(v) => v.len(),
+            ColumnData::Str(v) => v.ids.len(),
             ColumnData::U64(v) => v.len(),
             ColumnData::I64(v) => v.len(),
             ColumnData::F64(v) => v.len(),
@@ -43,12 +78,12 @@ impl ColumnData {
         self.len() == 0
     }
 
-    pub fn value(&self, i: usize) -> crate::schema::Value {
+    pub fn value(&self, i: usize) -> Value {
         match self {
-            ColumnData::Str(v) => crate::schema::Value::Str(v[i].clone()),
-            ColumnData::U64(v) => crate::schema::Value::U64(v[i]),
-            ColumnData::I64(v) => crate::schema::Value::I64(v[i]),
-            ColumnData::F64(v) => crate::schema::Value::F64(v[i]),
+            ColumnData::Str(v) => Value::Str(v.get(i).to_string()),
+            ColumnData::U64(v) => Value::U64(v[i]),
+            ColumnData::I64(v) => Value::I64(v[i]),
+            ColumnData::F64(v) => Value::F64(v[i]),
         }
     }
 }
@@ -70,195 +105,301 @@ pub fn zone_of(values: impl Iterator<Item = f64>) -> Option<(f64, f64)> {
     zone
 }
 
-pub fn encode_str(values: &[String]) -> Vec<u8> {
-    let mut dict: Vec<&str> = Vec::new();
-    let mut index_of = std::collections::HashMap::new();
-    let mut indices = Vec::with_capacity(values.len());
-    for v in values {
-        let idx = *index_of.entry(v.as_str()).or_insert_with(|| {
-            dict.push(v.as_str());
-            dict.len() - 1
-        });
-        indices.push(idx as i64);
-    }
-    let mut out = Vec::new();
-    put_varint(&mut out, dict.len() as u64);
-    for entry in &dict {
-        put_varint(&mut out, entry.len() as u64);
-        out.extend_from_slice(entry.as_bytes());
-    }
-    put_varint(&mut out, values.len() as u64);
-    let mut prev = 0i64;
-    for idx in indices {
-        put_varint(&mut out, zigzag(idx.wrapping_sub(prev)));
-        prev = idx;
-    }
-    out
+/// The dictionary of one string chunk being written: distinct entries in
+/// first-appearance order.
+#[derive(Default)]
+pub(crate) struct DictBuilder<'a> {
+    entries: Vec<&'a str>,
+    index: HashMap<&'a str, u32>,
+    /// The id of the last interned string: consecutive rows mostly repeat
+    /// their campaign, run and kind, and a compare is cheaper than a hash.
+    last: Option<(&'a str, u32)>,
+    /// Output id per slot of a dictionary-encoded source (`u32::MAX` =
+    /// not seen yet), so each source entry is hashed once per chunk.
+    memo: Vec<u32>,
 }
 
-pub fn decode_str(buf: &[u8]) -> Result<Vec<String>, String> {
+impl<'a> DictBuilder<'a> {
+    /// The chunk id of `s`, adding it to the dictionary on first sight.
+    pub(crate) fn intern(&mut self, s: &'a str) -> u32 {
+        if let Some((last, id)) = self.last {
+            // Lengths first: `memcmp` of two empty strings' dangling
+            // pointers costs ~100 ns on some hosts, and empty cells are
+            // common (unused string columns).
+            if last.len() == s.len() && (s.is_empty() || last == s) {
+                return id;
+            }
+        }
+        let next = self.entries.len() as u32;
+        let id = *self.index.entry(s).or_insert(next);
+        if id == next {
+            self.entries.push(s);
+        }
+        self.last = Some((s, id));
+        id
+    }
+
+    /// The chunk id of `source[slot]`, where `source` is a (possibly
+    /// concatenated) dictionary whose slots the caller's cells index.
+    pub(crate) fn intern_slot(&mut self, source: &'a [String], slot: u32) -> u32 {
+        if self.memo.len() < source.len() {
+            self.memo.resize(source.len(), u32::MAX);
+        }
+        let memo = self.memo[slot as usize];
+        if memo != u32::MAX {
+            return memo;
+        }
+        let id = self.intern(&source[slot as usize]);
+        self.memo[slot as usize] = id;
+        id
+    }
+
+    pub(crate) fn entries(&self) -> &[&'a str] {
+        &self.entries
+    }
+}
+
+/// A capacity for `count` items of at least `min_bytes` bytes each when
+/// only `left` bytes remain: a corrupt count can reserve no more than the
+/// buffer could hold, never an allocation the process cannot survive.
+pub(crate) fn capped(count: u64, left: usize, min_bytes: usize) -> usize {
+    count.min((left / min_bytes) as u64) as usize
+}
+
+/// Appends a string chunk: the dictionary, then the row count and the
+/// zigzag deltas of the rows' dictionary ids.
+pub fn encode_str(out: &mut Vec<u8>, dict: &[&str], ids: &[u32]) {
+    put_varint(out, dict.len() as u64);
+    for entry in dict {
+        put_varint(out, entry.len() as u64);
+        out.extend_from_slice(entry.as_bytes());
+    }
+    put_varint(out, ids.len() as u64);
+    let mut prev = 0i64;
+    for &id in ids {
+        let id = i64::from(id);
+        put_varint(out, zigzag(id.wrapping_sub(prev)));
+        prev = id;
+    }
+}
+
+/// Decodes a string chunk onto `out`: its dictionary is appended whole
+/// and its rows' ids are offset past the entries already there, so a
+/// column can hold many chunks back to back.
+pub fn decode_str(buf: &[u8], out: &mut StrColumn) -> Result<(), String> {
     let mut pos = 0;
-    let (dict, rows) = decode_str_dict(buf, &mut pos)?;
-    let mut out = Vec::with_capacity(rows);
+    let dict_n = get_varint(buf, &mut pos)?;
+    let base = out.dict.len() as u64;
+    if base + dict_n > u64::from(u32::MAX) {
+        return Err(format!("string chunk dictionary of {dict_n} entries"));
+    }
+    // Every entry costs at least its one-byte length varint.
+    out.dict.reserve(capped(dict_n, buf.len() - pos, 1));
+    for _ in 0..dict_n {
+        let len = get_varint(buf, &mut pos)? as usize;
+        let end = pos
+            .checked_add(len)
+            .filter(|&e| e <= buf.len())
+            .ok_or_else(|| "truncated string chunk dictionary".to_string())?;
+        let entry = std::str::from_utf8(&buf[pos..end])
+            .map_err(|e| format!("non-UTF-8 dictionary entry: {e}"))?;
+        out.dict.push(entry.to_string());
+        pos = end;
+    }
+    let rows = get_varint(buf, &mut pos)?;
+    out.ids.reserve(capped(rows, buf.len() - pos, 1));
     let mut prev = 0i64;
     for _ in 0..rows {
         let delta = unzigzag(get_varint(buf, &mut pos)?);
         let idx = prev.wrapping_add(delta);
         prev = idx;
-        let entry = usize::try_from(idx)
-            .ok()
-            .and_then(|i| dict.get(i))
-            .ok_or_else(|| format!("string chunk index {idx} out of dictionary range"))?;
-        out.push(entry.clone());
+        if !(0..dict_n as i64).contains(&idx) {
+            return Err(format!("string chunk index {idx} out of dictionary range"));
+        }
+        out.ids.push((base + idx as u64) as u32);
     }
-    Ok(out)
+    Ok(())
 }
 
-/// Decodes only the dictionary header of a string chunk; used both by
-/// [`decode_str`] and by the Eq-predicate membership pre-pass.
-fn decode_str_dict(buf: &[u8], pos: &mut usize) -> Result<(Vec<String>, usize), String> {
-    let dict_n = get_varint(buf, pos)? as usize;
-    let mut dict = Vec::with_capacity(dict_n);
-    for _ in 0..dict_n {
-        let len = get_varint(buf, pos)? as usize;
-        let end = pos
-            .checked_add(len)
-            .filter(|&e| e <= buf.len())
-            .ok_or_else(|| "truncated string chunk dictionary".to_string())?;
-        let entry = std::str::from_utf8(&buf[*pos..end])
-            .map_err(|e| format!("non-UTF-8 dictionary entry: {e}"))?;
-        dict.push(entry.to_string());
-        *pos = end;
-    }
-    let rows = get_varint(buf, pos)? as usize;
-    Ok((dict, rows))
-}
-
-/// True when `needle` appears in the chunk's dictionary — i.e. an
-/// `col = needle` predicate can possibly match a row here. Reads only
-/// the dictionary, not the row indices.
-pub fn str_chunk_contains(buf: &[u8], needle: &str) -> Result<bool, String> {
-    let mut pos = 0;
-    let (dict, _) = decode_str_dict(buf, &mut pos)?;
-    Ok(dict.iter().any(|e| e == needle))
-}
-
-pub fn encode_u64(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_varint(&mut out, values.len() as u64);
+pub fn encode_u64(out: &mut Vec<u8>, values: &[u64]) {
+    put_varint(out, values.len() as u64);
     let mut prev = 0u64;
     for &v in values {
-        put_varint(&mut out, zigzag(v.wrapping_sub(prev) as i64));
+        put_varint(out, zigzag(v.wrapping_sub(prev) as i64));
         prev = v;
     }
-    out
 }
 
-pub fn decode_u64(buf: &[u8]) -> Result<Vec<u64>, String> {
+/// Decodes a u64 chunk, appending its cells to `out`.
+pub fn decode_u64(buf: &[u8], out: &mut Vec<u64>) -> Result<(), String> {
     let mut pos = 0;
-    let rows = get_varint(buf, &mut pos)? as usize;
-    let mut out = Vec::with_capacity(rows);
+    let rows = get_varint(buf, &mut pos)?;
+    out.reserve(capped(rows, buf.len() - pos, 1));
     let mut prev = 0u64;
     for _ in 0..rows {
         let delta = unzigzag(get_varint(buf, &mut pos)?);
         prev = prev.wrapping_add(delta as u64);
         out.push(prev);
     }
-    Ok(out)
+    Ok(())
 }
 
-pub fn encode_i64(values: &[i64]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_varint(&mut out, values.len() as u64);
+pub fn encode_i64(out: &mut Vec<u8>, values: &[i64]) {
+    put_varint(out, values.len() as u64);
     let mut prev = 0i64;
     for &v in values {
-        put_varint(&mut out, zigzag(v.wrapping_sub(prev)));
+        put_varint(out, zigzag(v.wrapping_sub(prev)));
         prev = v;
     }
-    out
 }
 
-pub fn decode_i64(buf: &[u8]) -> Result<Vec<i64>, String> {
+/// Decodes an i64 chunk, appending its cells to `out`.
+pub fn decode_i64(buf: &[u8], out: &mut Vec<i64>) -> Result<(), String> {
     let mut pos = 0;
-    let rows = get_varint(buf, &mut pos)? as usize;
-    let mut out = Vec::with_capacity(rows);
+    let rows = get_varint(buf, &mut pos)?;
+    out.reserve(capped(rows, buf.len() - pos, 1));
     let mut prev = 0i64;
     for _ in 0..rows {
         prev = prev.wrapping_add(unzigzag(get_varint(buf, &mut pos)?));
         out.push(prev);
     }
-    Ok(out)
+    Ok(())
 }
 
-pub fn encode_f64(values: &[f64]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_varint(&mut out, values.len() as u64);
+pub fn encode_f64(out: &mut Vec<u8>, values: &[f64]) {
+    put_varint(out, values.len() as u64);
     for &v in values {
         out.extend_from_slice(&v.to_bits().to_le_bytes());
     }
-    out
 }
 
-pub fn decode_f64(buf: &[u8]) -> Result<Vec<f64>, String> {
+/// Decodes an f64 chunk, appending its cells to `out`.
+pub fn decode_f64(buf: &[u8], out: &mut Vec<f64>) -> Result<(), String> {
     let mut pos = 0;
-    let rows = get_varint(buf, &mut pos)? as usize;
-    let mut out = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let end = pos
-            .checked_add(8)
-            .filter(|&e| e <= buf.len())
-            .ok_or_else(|| "truncated f64 chunk".to_string())?;
-        let mut bits = [0u8; 8];
-        bits.copy_from_slice(&buf[pos..end]);
-        out.push(f64::from_bits(u64::from_le_bytes(bits)));
-        pos = end;
+    let rows = get_varint(buf, &mut pos)?;
+    let cells = &buf[pos..];
+    if rows > (cells.len() / 8) as u64 {
+        return Err("truncated f64 chunk".to_string());
     }
-    Ok(out)
+    out.extend(
+        cells
+            .chunks_exact(8)
+            .take(rows as usize)
+            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk")))),
+    );
+    Ok(())
+}
+
+/// Decodes one chunk column onto `out`, whose type picks the decoder.
+pub fn decode_into(buf: &[u8], out: &mut ColumnData) -> Result<(), String> {
+    match out {
+        ColumnData::Str(v) => decode_str(buf, v),
+        ColumnData::U64(v) => decode_u64(buf, v),
+        ColumnData::I64(v) => decode_i64(buf, v),
+        ColumnData::F64(v) => decode_f64(buf, v),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn enc(f: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        f(&mut out);
+        out
+    }
+
+    /// A chunk buffer that claims `count` cells but holds only `tail`.
+    fn huge_count(count: u64, tail: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, count);
+        buf.extend_from_slice(tail);
+        buf
+    }
+
+    /// Runs an appending decoder on an empty column.
+    fn dec<T: Default>(
+        decode: fn(&[u8], &mut T) -> Result<(), String>,
+        buf: &[u8],
+    ) -> Result<T, String> {
+        let mut out = T::default();
+        decode(buf, &mut out).map(|()| out)
+    }
+
+    fn encode_strs(values: &[&str]) -> Vec<u8> {
+        let mut dict = DictBuilder::default();
+        let ids: Vec<u32> = values.iter().map(|v| dict.intern(v)).collect();
+        enc(|out| encode_str(out, dict.entries(), &ids))
+    }
+
     #[test]
     fn str_round_trip_and_dict_sharing() {
-        let values: Vec<String> = ["probe", "probe", "report", "probe", "", "report"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let buf = encode_str(&values);
-        assert_eq!(decode_str(&buf).unwrap(), values);
+        let values = ["probe", "probe", "report", "probe", "", "report"];
+        let buf = encode_strs(&values);
+        let col = dec(decode_str, &buf).unwrap();
+        let back: Vec<&str> = (0..values.len()).map(|i| col.get(i)).collect();
+        assert_eq!(back, values);
         // Dictionary holds 3 distinct entries, so repeats cost ~1 byte each.
+        assert_eq!(col.dict, ["probe", "report", ""]);
         assert!(
             buf.len() < 40,
             "dict encoding too large: {} bytes",
             buf.len()
         );
-        assert!(str_chunk_contains(&buf, "report").unwrap());
-        assert!(!str_chunk_contains(&buf, "figure").unwrap());
+    }
+
+    #[test]
+    fn slot_interning_merges_repeated_source_entries() {
+        // Two source dictionaries back to back, sharing "b": the output
+        // dictionary is first-appearance over the strings, not the slots.
+        let source: Vec<String> = ["a", "b", "b", "c"].map(String::from).to_vec();
+        let mut dict = DictBuilder::default();
+        let ids: Vec<u32> = [1, 3, 2, 0, 1]
+            .iter()
+            .map(|&s| dict.intern_slot(&source, s))
+            .collect();
+        assert_eq!(dict.entries(), ["b", "c", "a"]);
+        assert_eq!(ids, [0, 1, 0, 2, 0]);
+    }
+
+    #[test]
+    fn decoding_appends_chunks_back_to_back() {
+        let mut col = ColumnData::empty(ColumnType::Str);
+        decode_into(&encode_strs(&["a", "b", "a"]), &mut col).unwrap();
+        decode_into(&encode_strs(&["b", "c"]), &mut col).unwrap();
+        let ColumnData::Str(s) = &col else {
+            unreachable!()
+        };
+        assert_eq!(s.dict, ["a", "b", "b", "c"]);
+        assert_eq!(s.ids, [0, 1, 0, 2, 3]);
+        let mut nums = ColumnData::empty(ColumnType::U64);
+        decode_into(&enc(|out| encode_u64(out, &[5, 3])), &mut nums).unwrap();
+        decode_into(&enc(|out| encode_u64(out, &[9])), &mut nums).unwrap();
+        assert_eq!(nums, ColumnData::U64(vec![5, 3, 9]));
     }
 
     #[test]
     fn u64_round_trip_including_decreasing() {
         let values = [0u64, 1, 1, 100, 50, u64::MAX, 3];
-        let buf = encode_u64(&values);
-        assert_eq!(decode_u64(&buf).unwrap(), values);
+        let buf = enc(|out| encode_u64(out, &values));
+        assert_eq!(dec(decode_u64, &buf).unwrap(), values);
     }
 
     #[test]
     fn u64_monotone_counters_compress() {
         // Cumulative counters advancing by small steps: ~1 byte per row.
         let values: Vec<u64> = (0..1000u64).map(|i| 5_000_000 + i * 3).collect();
-        let buf = encode_u64(&values);
+        let buf = enc(|out| encode_u64(out, &values));
         assert!(buf.len() < 1100, "{} bytes for 1000 counters", buf.len());
-        assert_eq!(decode_u64(&buf).unwrap(), values);
+        assert_eq!(dec(decode_u64, &buf).unwrap(), values);
     }
 
     #[test]
     fn i64_round_trip() {
         let values = [-1i64, -1, 0, 7, i64::MIN, i64::MAX, -1];
-        let buf = encode_i64(&values);
-        assert_eq!(decode_i64(&buf).unwrap(), values);
+        let buf = enc(|out| encode_i64(out, &values));
+        assert_eq!(dec(decode_i64, &buf).unwrap(), values);
     }
 
     #[test]
@@ -273,8 +414,8 @@ mod tests {
             f64::MIN_POSITIVE,
             1e308,
         ];
-        let buf = encode_f64(&values);
-        let back = decode_f64(&buf).unwrap();
+        let buf = enc(|out| encode_f64(out, &values));
+        let back = dec(decode_f64, &buf).unwrap();
         assert_eq!(back.len(), values.len());
         for (a, b) in values.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -293,9 +434,36 @@ mod tests {
 
     #[test]
     fn truncated_chunks_error_cleanly() {
-        let buf = encode_str(&["abc".to_string()]);
-        assert!(decode_str(&buf[..buf.len() - 1]).is_err());
-        let fbuf = encode_f64(&[1.0, 2.0]);
-        assert!(decode_f64(&fbuf[..fbuf.len() - 1]).is_err());
+        let buf = encode_strs(&["abc"]);
+        assert!(dec(decode_str, &buf[..buf.len() - 1]).is_err());
+        let fbuf = enc(|out| encode_f64(out, &[1.0, 2.0]));
+        assert!(dec(decode_f64, &fbuf[..fbuf.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn u64_decoder_rejects_a_huge_row_count() {
+        assert!(dec(decode_u64, &huge_count(1 << 36, &[0, 0, 0])).is_err());
+    }
+
+    #[test]
+    fn i64_decoder_rejects_a_huge_row_count() {
+        assert!(dec(decode_i64, &huge_count(1 << 36, &[0, 0, 0])).is_err());
+    }
+
+    #[test]
+    fn f64_decoder_rejects_a_huge_row_count() {
+        assert!(dec(decode_f64, &huge_count(1 << 36, &[0; 16])).is_err());
+    }
+
+    #[test]
+    fn str_decoder_rejects_huge_dictionary_and_row_counts() {
+        // A dictionary claiming 2^31 entries, then one claiming 2^40.
+        assert!(dec(decode_str, &huge_count(1 << 31, &[1, b'a'])).is_err());
+        assert!(dec(decode_str, &huge_count(1 << 40, &[1, b'a'])).is_err());
+        // A one-entry dictionary with a row count of 2^36.
+        let mut buf = huge_count(1, &[1, b'a']);
+        put_varint(&mut buf, 1 << 36);
+        buf.extend_from_slice(&[0, 0]);
+        assert!(dec(decode_str, &buf).is_err());
     }
 }

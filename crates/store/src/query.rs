@@ -12,11 +12,20 @@
 //!   nearest-rank `pNN` percentiles, 0 ≤ NN ≤ 100);
 //! * `--limit N` — output row cap.
 //!
-//! Scans prune whole chunks first: numeric predicates against the footer
-//! zone maps, string equality against the chunk dictionary (header-only
-//! decode). Surviving chunks decode their *filter* columns first, and the
-//! projected/aggregated columns only for chunks where some row matched —
-//! a chunk that zone-passes but row-fails costs one column, not all.
+//! A query is planned, then executed. Planning opens every segment once
+//! (footers from the store handle's cache) and prunes chunks against the
+//! footer zone maps before a single row byte is read; the open handles
+//! are held until the query ends, so a compaction that unlinks a segment
+//! mid-query cannot hide any of its rows. Execution reads (`pread`) only
+//! the column ranges a surviving chunk needs: its *filter* columns first,
+//! and the projected/aggregated columns only if some row matched — a
+//! chunk that zone-passes but row-fails costs its filter columns, not all.
+//!
+//! Scans work on the encoded columns. A string predicate becomes a set of
+//! the chunk's dictionary ids (`=` finds no id → the chunk is skipped);
+//! numeric predicates and aggregates read typed cells; group keys are
+//! dictionary ids and raw bits within a chunk, turned into [`Value`]-like
+//! keys once per group per chunk.
 //!
 //! Chunks scan in parallel ([`run_query_with`] takes a thread count;
 //! `None` means all cores). Each chunk produces a partial result —
@@ -31,11 +40,11 @@
 //! byte-stability tests in the CLI and `tests/store_parallel.rs` pin this.
 
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use hetsched_util::parallel_map;
 
-use crate::column::{str_chunk_contains, ColumnData};
+use crate::column::ColumnData;
 use crate::schema::{column_index, ColumnType, Value, COLUMNS};
 use crate::segment::Segment;
 use crate::store::Store;
@@ -329,12 +338,25 @@ impl Ord for TotalF64 {
     }
 }
 
-fn key_of(v: &Value) -> Key {
-    match v {
-        Value::Str(s) => Key::Str(s.clone()),
-        Value::U64(x) => Key::U64(*x),
-        Value::I64(x) => Key::I64(*x),
-        Value::F64(x) => Key::F64(TotalF64(*x)),
+/// The group key of cell `i`.
+fn key_at(col: &ColumnData, i: usize) -> Key {
+    match col {
+        ColumnData::Str(s) => Key::Str(s.get(i).to_string()),
+        ColumnData::U64(v) => Key::U64(v[i]),
+        ColumnData::I64(v) => Key::I64(v[i]),
+        ColumnData::F64(v) => Key::F64(TotalF64(v[i])),
+    }
+}
+
+/// Cell `i` as a chunk-local key code: equal codes in one chunk mean
+/// equal [`Key`]s. Strings code as dictionary ids (entries are distinct
+/// within a chunk), floats as bits (the [`TotalF64`] equality).
+fn code_at(col: &ColumnData, i: usize) -> u64 {
+    match col {
+        ColumnData::Str(s) => u64::from(s.ids[i]),
+        ColumnData::U64(v) => v[i],
+        ColumnData::I64(v) => v[i] as u64,
+        ColumnData::F64(v) => v[i].to_bits(),
     }
 }
 
@@ -386,29 +408,50 @@ impl QueryResult {
     }
 }
 
-/// True when `value` satisfies `op literal`. NaN cells match nothing.
-fn matches(value: &Value, op: CmpOp, literal: &Literal) -> bool {
-    match (value, literal) {
-        (Value::Str(s), Literal::Str(lit)) => match op {
-            CmpOp::Eq => s == lit,
-            CmpOp::Ne => s != lit,
-            _ => false,
-        },
-        (v, Literal::Num(lit)) => {
-            let Some(x) = v.as_f64() else { return false };
-            if x.is_nan() {
-                return false;
+/// True when the number `x` satisfies `op lit`. NaN matches nothing.
+fn num_matches(x: f64, op: CmpOp, lit: f64) -> bool {
+    if x.is_nan() {
+        return false;
+    }
+    match op {
+        CmpOp::Eq => x == lit,
+        CmpOp::Ne => x != lit,
+        CmpOp::Lt => x < lit,
+        CmpOp::Le => x <= lit,
+        CmpOp::Gt => x > lit,
+        CmpOp::Ge => x >= lit,
+    }
+}
+
+/// Keeps the rows of `sel` whose cell in `col` satisfies `op literal`.
+/// A string literal turns into the set of dictionary ids it admits.
+fn retain_matching(col: &ColumnData, op: CmpOp, literal: &Literal, sel: &mut Vec<u32>) {
+    match (col, literal) {
+        (ColumnData::Str(s), Literal::Str(lit)) => {
+            let admits: Vec<bool> = s
+                .dict
+                .iter()
+                .map(|e| match op {
+                    CmpOp::Eq => e == lit,
+                    CmpOp::Ne => e != lit,
+                    _ => false,
+                })
+                .collect();
+            if !admits.contains(&true) {
+                sel.clear();
             }
-            match op {
-                CmpOp::Eq => x == *lit,
-                CmpOp::Ne => x != *lit,
-                CmpOp::Lt => x < *lit,
-                CmpOp::Le => x <= *lit,
-                CmpOp::Gt => x > *lit,
-                CmpOp::Ge => x >= *lit,
-            }
+            sel.retain(|&i| admits[s.ids[i as usize] as usize]);
         }
-        _ => false,
+        (ColumnData::U64(v), Literal::Num(lit)) => {
+            sel.retain(|&i| num_matches(v[i as usize] as f64, op, *lit))
+        }
+        (ColumnData::I64(v), Literal::Num(lit)) => {
+            sel.retain(|&i| num_matches(v[i as usize] as f64, op, *lit))
+        }
+        (ColumnData::F64(v), Literal::Num(lit)) => {
+            sel.retain(|&i| num_matches(v[i as usize], op, *lit))
+        }
+        _ => sel.clear(),
     }
 }
 
@@ -456,16 +499,27 @@ impl AggState {
         }
     }
 
-    fn push(&mut self, x: f64) {
+    /// Adds `xs`, in order.
+    fn extend(&mut self, xs: impl Iterator<Item = f64>) {
         match self {
-            AggState::Count(n) => *n += 1,
+            AggState::Count(n) => *n += xs.count() as u64,
             AggState::Sum { sum, n } => {
-                *sum += x;
-                *n += 1;
+                for x in xs {
+                    *sum += x;
+                    *n += 1;
+                }
             }
-            AggState::Min(m) => *m = if m.is_nan() { x } else { m.min(x) },
-            AggState::Max(m) => *m = if m.is_nan() { x } else { m.max(x) },
-            AggState::Values(v) => v.push(x),
+            AggState::Min(m) => {
+                for x in xs {
+                    *m = if m.is_nan() { x } else { m.min(x) };
+                }
+            }
+            AggState::Max(m) => {
+                for x in xs {
+                    *m = if m.is_nan() { x } else { m.max(x) };
+                }
+            }
+            AggState::Values(v) => v.extend(xs),
         }
     }
 
@@ -518,119 +572,57 @@ impl AggState {
     }
 }
 
-/// One chunk's scan output: group partials when aggregating, projected
-/// rows otherwise. `None` from [`scan_chunk`] means the chunk was pruned
-/// or no row matched.
+/// One chunk's scan output: group partials (in order of each group's
+/// first row) when aggregating, projected rows otherwise. `None` from
+/// [`Plan::scan_chunk`] means no row of the chunk matched.
 struct ChunkScan {
-    groups: BTreeMap<Vec<Key>, Vec<AggState>>,
+    groups: Vec<(Vec<Key>, Vec<AggState>)>,
     rows: Vec<Vec<Value>>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn scan_chunk(
-    seg: &Segment,
-    chunk_idx: usize,
-    q: &Query,
-    select: &[usize],
-    filter_cols: &[usize],
-    body_cols: &[usize],
-    grouped: bool,
-) -> Result<Option<ChunkScan>, String> {
-    // Chunk pruning: numeric zones from the footer, string equality
-    // against the chunk dictionary (header-only decode).
-    for f in &q.filters {
-        let meta = &seg.meta.chunks[chunk_idx].cols[f.col];
-        match (&f.literal, meta.zone) {
-            (Literal::Num(lit), Some(zone)) if !zone_admits(zone, f.op, *lit) => {
-                return Ok(None);
-            }
-            (Literal::Str(lit), _) if f.op == CmpOp::Eq => {
-                let bytes = seg.chunk_col_bytes(chunk_idx, f.col)?;
-                if !str_chunk_contains(bytes, lit)? {
-                    return Ok(None);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    let n_rows = seg.meta.chunks[chunk_idx].rows;
-    let mut cols: Vec<Option<ColumnData>> = vec![None; COLUMNS.len()];
-    for &idx in filter_cols {
-        cols[idx] = Some(seg.read_chunk_column(chunk_idx, idx)?);
-    }
-    let mut sel: Vec<usize> = Vec::new();
-    'rows: for i in 0..n_rows {
-        for f in &q.filters {
-            let v = cols[f.col].as_ref().unwrap().value(i);
-            if !matches(&v, f.op, &f.literal) {
-                continue 'rows;
-            }
-        }
-        sel.push(i);
-    }
-    if sel.is_empty() {
-        return Ok(None);
-    }
-    // Projected/aggregated columns decode only for surviving chunks.
-    for &idx in body_cols {
-        if cols[idx].is_none() {
-            cols[idx] = Some(seg.read_chunk_column(chunk_idx, idx)?);
-        }
-    }
-
-    let mut out = ChunkScan {
-        groups: BTreeMap::new(),
-        rows: Vec::new(),
-    };
-    for &i in &sel {
-        if grouped {
-            let key: Vec<Key> = q
-                .group_by
-                .iter()
-                .map(|&c| key_of(&cols[c].as_ref().unwrap().value(i)))
-                .collect();
-            let states = out
-                .groups
-                .entry(key)
-                .or_insert_with(|| q.aggs.iter().map(|a| AggState::new(a.func)).collect());
-            for (a, agg) in q.aggs.iter().enumerate() {
-                match agg.col {
-                    None => states[a].push(1.0),
-                    Some(c) => {
-                        let v = cols[c].as_ref().unwrap().value(i);
-                        if let Some(x) = v.as_f64() {
-                            if !x.is_nan() || agg.func == AggFn::Count {
-                                states[a].push(x);
-                            }
-                        }
-                    }
-                }
-            }
+/// Adds `cell(i)` of each selected row `i` to aggregate `a` of the row's
+/// group, in row order. `runs` holds `(first position in sel, group)` of
+/// each run of adjacent rows in one group. NaN cells reach only `count`.
+fn fold(
+    groups: &mut [(Vec<Key>, Vec<AggState>)],
+    a: usize,
+    func: AggFn,
+    sel: &[u32],
+    runs: &[(usize, usize)],
+    cell: impl Fn(usize) -> f64,
+) {
+    for (r, &(start, slot)) in runs.iter().enumerate() {
+        let end = runs.get(r + 1).map_or(sel.len(), |next| next.0);
+        let cells = sel[start..end].iter().map(|&i| cell(i as usize));
+        let state = &mut groups[slot].1[a];
+        if func == AggFn::Count {
+            state.extend(cells);
         } else {
-            out.rows.push(
-                select
-                    .iter()
-                    .map(|&c| cols[c].as_ref().unwrap().value(i))
-                    .collect(),
-            );
+            state.extend(cells.filter(|x| !x.is_nan()));
         }
     }
-    Ok(Some(out))
 }
 
-/// Runs `q` over every segment of `store`, scanning chunks on all cores.
-pub fn run_query(store: &Store, q: &Query) -> Result<QueryResult, String> {
-    run_query_with(store, q, None)
+/// A query bound to the segments it will read: the open handles (held
+/// until the plan is dropped) and the chunks that survived zone pruning.
+pub(crate) struct Plan<'q> {
+    q: &'q Query,
+    grouped: bool,
+    /// Projected columns of an ungrouped query.
+    select: Vec<usize>,
+    /// Read first; they decide which rows survive.
+    filter_cols: Vec<usize>,
+    /// Read only for chunks where some row survived.
+    body_cols: Vec<usize>,
+    segments: Vec<Segment>,
+    /// `(segment, chunk)` in segment-name/chunk order — the merge order.
+    work: Vec<(usize, usize)>,
 }
 
-/// Runs `q` with an explicit scan-thread count (`None` = all cores,
-/// `Some(1)` = serial). Output is byte-identical at any thread count.
-pub fn run_query_with(
-    store: &Store,
-    q: &Query,
-    threads: Option<usize>,
-) -> Result<QueryResult, String> {
+/// Plans `q` over the current segments of `store`. Numeric predicates
+/// prune chunks against the footer zone maps here, before any row data
+/// is read.
+pub(crate) fn plan<'q>(store: &Store, q: &'q Query) -> Result<Plan<'q>, String> {
     let grouped = !q.aggs.is_empty();
     let select: Vec<usize> = if grouped {
         Vec::new()
@@ -639,9 +631,6 @@ pub fn run_query_with(
     } else {
         q.select.clone()
     };
-
-    // Split the needed columns into filter columns (decoded first, drive
-    // the selection) and body columns (decoded only when a row survives).
     let mut filter_cols: Vec<usize> = Vec::new();
     for f in &q.filters {
         if !filter_cols.contains(&f.col) {
@@ -656,102 +645,227 @@ pub fn run_query_with(
         }
     }
 
-    let segments = store.segments()?;
-    // One work item per chunk; `segments()` sorts by name, so this order
-    // — the merge order — is a pure function of the store contents.
-    let work: Vec<(usize, usize)> = segments
-        .iter()
-        .enumerate()
-        .flat_map(|(s, seg)| (0..seg.meta.chunks.len()).map(move |c| (s, c)))
-        .collect();
-    let scan = |&(s, c): &(usize, usize)| {
-        scan_chunk(
-            &segments[s],
-            c,
-            q,
-            &select,
-            &filter_cols,
-            &body_cols,
-            grouped,
-        )
-    };
-
-    if !grouped {
-        let header: Vec<String> = select.iter().map(|&c| COLUMNS[c].0.to_string()).collect();
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        if let Some(limit) = q.limit {
-            // Serial with early exit: the parallel scan would decode every
-            // chunk to keep the first `limit` rows of the full result —
-            // same bytes, wasted work.
-            for item in &work {
-                if rows.len() >= limit {
-                    break;
-                }
-                if let Some(chunk) = scan(item)? {
-                    rows.extend(chunk.rows);
-                }
-            }
-            rows.truncate(limit);
-        } else {
-            for partial in parallel_map(&work, threads, |_, item| scan(item)) {
-                if let Some(chunk) = partial? {
-                    rows.extend(chunk.rows);
-                }
+    let mut segments = Vec::new();
+    let mut work = Vec::new();
+    // `segments()` sorts by name, so the work list — the merge order — is
+    // a pure function of the store contents.
+    for seg in store.segments()? {
+        let before = work.len();
+        for (c, chunk) in seg.meta.chunks.iter().enumerate() {
+            let admitted = q
+                .filters
+                .iter()
+                .all(|f| match (&f.literal, chunk.cols[f.col].zone) {
+                    (Literal::Num(lit), Some(zone)) => zone_admits(zone, f.op, *lit),
+                    _ => true,
+                });
+            if admitted {
+                work.push((segments.len(), c));
             }
         }
-        return Ok(QueryResult { header, rows });
+        // A fully pruned segment's handle is not needed.
+        if work.len() > before {
+            segments.push(seg);
+        }
+    }
+    Ok(Plan {
+        q,
+        grouped,
+        select,
+        filter_cols,
+        body_cols,
+        segments,
+        work,
+    })
+}
+
+impl Plan<'_> {
+    fn scan_chunk(&self, (s, c): (usize, usize)) -> Result<Option<ChunkScan>, String> {
+        let (q, seg) = (self.q, &self.segments[s]);
+        let mut cols: Vec<Option<ColumnData>> = (0..COLUMNS.len()).map(|_| None).collect();
+        let mut sel: Vec<u32> = (0..seg.meta.chunks[c].rows as u32).collect();
+        for &idx in &self.filter_cols {
+            let col = seg.read_chunk_column(c, idx)?;
+            for f in q.filters.iter().filter(|f| f.col == idx) {
+                retain_matching(&col, f.op, &f.literal, &mut sel);
+            }
+            if sel.is_empty() {
+                return Ok(None);
+            }
+            cols[idx] = Some(col);
+        }
+        for &idx in &self.body_cols {
+            cols[idx] = Some(seg.read_chunk_column(c, idx)?);
+        }
+        let col = |idx: usize| cols[idx].as_ref().expect("column read above");
+
+        if !self.grouped {
+            let rows = sel
+                .iter()
+                .map(|&i| {
+                    self.select
+                        .iter()
+                        .map(|&c| col(c).value(i as usize))
+                        .collect()
+                })
+                .collect();
+            return Ok(Some(ChunkScan {
+                groups: Vec::new(),
+                rows,
+            }));
+        }
+
+        // Split the selected rows into runs of adjacent rows with equal
+        // keys (rows of one group tend to be adjacent), and find each
+        // run's group slot.
+        let key_cols: Vec<&ColumnData> = q.group_by.iter().map(|&c| col(c)).collect();
+        let same_key = |a: u32, b: u32| {
+            let (a, b) = (a as usize, b as usize);
+            key_cols.iter().all(|c| code_at(c, a) == code_at(c, b))
+        };
+        let mut slot_of: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut groups: Vec<(Vec<Key>, Vec<AggState>)> = Vec::new();
+        let (mut runs, mut code) = (Vec::new(), Vec::new());
+        for (k, &i) in sel.iter().enumerate() {
+            if k > 0 && same_key(sel[k - 1], i) {
+                continue;
+            }
+            let i = i as usize;
+            code.clear();
+            code.extend(key_cols.iter().map(|c| code_at(c, i)));
+            let slot = match slot_of.get(&code) {
+                Some(&slot) => slot,
+                None => {
+                    let key = key_cols.iter().map(|c| key_at(c, i)).collect();
+                    let states = q.aggs.iter().map(|a| AggState::new(a.func)).collect();
+                    groups.push((key, states));
+                    slot_of.insert(code.clone(), groups.len() - 1);
+                    groups.len() - 1
+                }
+            };
+            runs.push((k, slot));
+        }
+
+        // Aggregates fold one typed column at a time, rows in order.
+        for (a, agg) in q.aggs.iter().enumerate() {
+            let (f, groups) = (agg.func, &mut groups);
+            match agg.col.map(col) {
+                None => fold(groups, a, f, &sel, &runs, |_| 1.0),
+                // A string column has no numeric view: `count(col)` over
+                // one counts no cells.
+                Some(ColumnData::Str(_)) => {}
+                Some(ColumnData::U64(v)) => fold(groups, a, f, &sel, &runs, |i| v[i] as f64),
+                Some(ColumnData::I64(v)) => fold(groups, a, f, &sel, &runs, |i| v[i] as f64),
+                Some(ColumnData::F64(v)) => fold(groups, a, f, &sel, &runs, |i| v[i]),
+            }
+        }
+        Ok(Some(ChunkScan {
+            groups,
+            rows: Vec::new(),
+        }))
     }
 
-    let mut groups: BTreeMap<Vec<Key>, Vec<AggState>> = BTreeMap::new();
-    // Deterministic merge: partials come back in work-list order whatever
-    // the thread count (parallel_map preserves slot order).
-    for partial in parallel_map(&work, threads, |_, item| scan(item)) {
-        let Some(chunk) = partial? else { continue };
-        for (key, states) in chunk.groups {
-            match groups.entry(key) {
-                Entry::Vacant(e) => {
-                    e.insert(states);
+    /// Scans the planned chunks on `threads` threads (`None` = all cores)
+    /// and merges their partials in work-list order.
+    pub(crate) fn execute(&self, threads: Option<usize>) -> Result<QueryResult, String> {
+        let q = self.q;
+        if !self.grouped {
+            let header: Vec<String> = self
+                .select
+                .iter()
+                .map(|&c| COLUMNS[c].0.to_string())
+                .collect();
+            let mut rows: Vec<Vec<Value>> = Vec::new();
+            if let Some(limit) = q.limit {
+                // Serial with early exit: the parallel scan would decode
+                // every chunk to keep the first `limit` rows of the full
+                // result — same bytes, wasted work.
+                for &item in &self.work {
+                    if rows.len() >= limit {
+                        break;
+                    }
+                    if let Some(chunk) = self.scan_chunk(item)? {
+                        rows.extend(chunk.rows);
+                    }
                 }
-                Entry::Occupied(mut e) => {
-                    for (acc, state) in e.get_mut().iter_mut().zip(states) {
-                        acc.merge(state);
+                rows.truncate(limit);
+            } else {
+                for partial in parallel_map(&self.work, threads, |_, &item| self.scan_chunk(item)) {
+                    if let Some(chunk) = partial? {
+                        rows.extend(chunk.rows);
+                    }
+                }
+            }
+            return Ok(QueryResult { header, rows });
+        }
+
+        let mut groups: BTreeMap<Vec<Key>, Vec<AggState>> = BTreeMap::new();
+        // Deterministic merge: partials come back in work-list order
+        // whatever the thread count (parallel_map preserves slot order).
+        for partial in parallel_map(&self.work, threads, |_, &item| self.scan_chunk(item)) {
+            let Some(chunk) = partial? else { continue };
+            for (key, states) in chunk.groups {
+                match groups.entry(key) {
+                    Entry::Vacant(e) => {
+                        e.insert(states);
+                    }
+                    Entry::Occupied(mut e) => {
+                        for (acc, state) in e.get_mut().iter_mut().zip(states) {
+                            acc.merge(state);
+                        }
                     }
                 }
             }
         }
-    }
 
-    let mut header: Vec<String> = q
-        .group_by
-        .iter()
-        .map(|&c| COLUMNS[c].0.to_string())
-        .collect();
-    header.extend(q.aggs.iter().map(|a| a.label.clone()));
-    // A global aggregate over zero matching rows still reports one row.
-    if q.group_by.is_empty() && groups.is_empty() {
-        groups.insert(
-            Vec::new(),
-            q.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-        );
-    }
-    let mut rows = Vec::with_capacity(groups.len());
-    for (key, states) in groups {
-        let mut row: Vec<Value> = key.iter().map(key_value).collect();
-        for (agg, state) in q.aggs.iter().zip(states) {
-            row.push(Value::F64(state.finish(agg.func)));
+        let mut header: Vec<String> = q
+            .group_by
+            .iter()
+            .map(|&c| COLUMNS[c].0.to_string())
+            .collect();
+        header.extend(q.aggs.iter().map(|a| a.label.clone()));
+        // A global aggregate over zero matching rows still reports one row.
+        if q.group_by.is_empty() && groups.is_empty() {
+            groups.insert(
+                Vec::new(),
+                q.aggs.iter().map(|a| AggState::new(a.func)).collect(),
+            );
         }
-        rows.push(row);
+        let mut rows = Vec::with_capacity(groups.len());
+        for (key, states) in groups {
+            let mut row: Vec<Value> = key.iter().map(key_value).collect();
+            for (agg, state) in q.aggs.iter().zip(states) {
+                row.push(Value::F64(state.finish(agg.func)));
+            }
+            rows.push(row);
+        }
+        if let Some(limit) = q.limit {
+            rows.truncate(limit);
+        }
+        Ok(QueryResult { header, rows })
     }
-    if let Some(limit) = q.limit {
-        rows.truncate(limit);
-    }
-    Ok(QueryResult { header, rows })
+}
+
+/// Runs `q` over every segment of `store`, scanning chunks on all cores.
+pub fn run_query(store: &Store, q: &Query) -> Result<QueryResult, String> {
+    run_query_with(store, q, None)
+}
+
+/// Runs `q` with an explicit scan-thread count (`None` = all cores,
+/// `Some(1)` = serial). Output is byte-identical at any thread count.
+pub fn run_query_with(
+    store: &Store,
+    q: &Query,
+    threads: Option<usize>,
+) -> Result<QueryResult, String> {
+    plan(store, q)?.execute(threads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::Row;
+    use crate::segment::CHUNK_ROWS;
 
     fn test_store(tag: &str, rows: Vec<Row>) -> (Store, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!("hsc-query-{tag}-{}", std::process::id()));
@@ -1033,6 +1147,48 @@ mod tests {
             res.to_jsonl(),
             "{\"metric\":\"m\",\"value\":1,\"beta\":null}\n{\"metric\":\"m\",\"value\":2,\"beta\":null}\n"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_planned_query_reads_a_segment_unlinked_before_the_scan() {
+        // A multi-chunk segment plus a small one.
+        let rows = (0..CHUNK_ROWS + 100)
+            .map(|i| report(["D", "R"][i % 2], "m", (i % 10) as f64, f64::NAN))
+            .collect();
+        let (store, dir) = test_store("snapshot", rows);
+        let mut b = store.batch();
+        b.push(report("S", "m", 1.0, f64::NAN));
+        b.commit().unwrap();
+        let big = store
+            .segment_paths()
+            .unwrap()
+            .into_iter()
+            .find(|p| Segment::open(p).unwrap().meta.chunks.len() == 2)
+            .unwrap();
+
+        let q = build_query(None, None, Some("strategy"), Some("count,sum(value)"), None).unwrap();
+        let planned = plan(&store, &q).unwrap();
+        std::fs::remove_file(&big).unwrap();
+        let csv = planned.execute(Some(2)).unwrap().to_csv();
+        let half = (CHUNK_ROWS + 100) / 2;
+        assert_eq!(
+            csv,
+            format!(
+                "strategy,count,sum(value)\nD,{half},{}\nR,{half},{}\nS,1,1\n",
+                (0..CHUNK_ROWS + 100)
+                    .step_by(2)
+                    .map(|i| (i % 10) as f64)
+                    .sum::<f64>(),
+                (1..CHUNK_ROWS + 100)
+                    .step_by(2)
+                    .map(|i| (i % 10) as f64)
+                    .sum::<f64>()
+            )
+        );
+        // A query planned after the unlink no longer sees those rows.
+        let after = run_query(&store, &q).unwrap().to_csv();
+        assert_eq!(after, "strategy,count,sum(value)\nS,1,1\n");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -173,28 +173,59 @@ impl Row {
 
     /// The row's value in column `idx` (an index into [`COLUMNS`]).
     pub fn get(&self, idx: usize) -> Value {
+        match COLUMNS[idx].1 {
+            ColumnType::Str => Value::Str(self.str_at(idx).to_string()),
+            ColumnType::U64 => Value::U64(self.u64_at(idx)),
+            ColumnType::I64 => Value::I64(self.i64_at(idx)),
+            ColumnType::F64 => Value::F64(self.f64_at(idx)),
+        }
+    }
+
+    /// String column `idx`, borrowed. Panics on a non-string column.
+    pub fn str_at(&self, idx: usize) -> &str {
         match idx {
-            0 => Value::Str(self.campaign.clone()),
-            1 => Value::Str(self.run.clone()),
-            2 => Value::Str(self.kind.clone()),
-            3 => Value::Str(self.strategy.clone()),
-            4 => Value::Str(self.metric.clone()),
-            5 => Value::Str(self.series.clone()),
-            6 => Value::Str(self.config.clone()),
-            7 => Value::U64(self.seed),
-            8 => Value::I64(self.worker),
-            9 => Value::U64(self.events),
-            10 => Value::U64(self.remaining),
-            11 => Value::U64(self.blocks),
-            12 => Value::U64(self.tasks),
-            13 => Value::U64(self.queue_depth),
-            14 => Value::F64(self.t),
-            15 => Value::F64(self.value),
-            16 => Value::F64(self.sigma),
-            17 => Value::F64(self.useful),
-            18 => Value::F64(self.link_busy),
-            19 => Value::F64(self.beta),
-            other => panic!("column index {other} out of range"),
+            0 => &self.campaign,
+            1 => &self.run,
+            2 => &self.kind,
+            3 => &self.strategy,
+            4 => &self.metric,
+            5 => &self.series,
+            6 => &self.config,
+            other => panic!("column index {other} is not a string column"),
+        }
+    }
+
+    /// Unsigned column `idx`. Panics on any other column.
+    pub fn u64_at(&self, idx: usize) -> u64 {
+        match idx {
+            7 => self.seed,
+            9 => self.events,
+            10 => self.remaining,
+            11 => self.blocks,
+            12 => self.tasks,
+            13 => self.queue_depth,
+            other => panic!("column index {other} is not a u64 column"),
+        }
+    }
+
+    /// Signed column `idx` (only `worker`). Panics on any other column.
+    pub fn i64_at(&self, idx: usize) -> i64 {
+        match idx {
+            8 => self.worker,
+            other => panic!("column index {other} is not an i64 column"),
+        }
+    }
+
+    /// Float column `idx`. Panics on any other column.
+    pub fn f64_at(&self, idx: usize) -> f64 {
+        match idx {
+            14 => self.t,
+            15 => self.value,
+            16 => self.sigma,
+            17 => self.useful,
+            18 => self.link_busy,
+            19 => self.beta,
+            other => panic!("column index {other} is not an f64 column"),
         }
     }
 }

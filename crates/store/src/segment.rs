@@ -18,11 +18,15 @@
 //! count. Readers parse the footer, then decode only the chunk/column
 //! ranges a query actually touches.
 
-use std::path::Path;
+use std::fs::File;
+use std::ops::Range;
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use crate::column::{
-    decode_f64, decode_i64, decode_str, decode_u64, encode_f64, encode_i64, encode_str, encode_u64,
-    zone_of, ColumnData,
+    capped, decode_into, encode_f64, encode_i64, encode_str, encode_u64, zone_of, ColumnData,
+    DictBuilder,
 };
 use crate::schema::{ColumnType, Row, Value, COLUMNS};
 use crate::varint::{get_varint, put_varint};
@@ -60,69 +64,134 @@ pub struct SegmentMeta {
     pub total_rows: usize,
 }
 
+/// One chunk's cells, one column, gathered for encoding.
+pub(crate) enum ChunkCol<'a> {
+    /// The chunk dictionary and one id into it per row.
+    Str(DictBuilder<'a>, Vec<u32>),
+    U64(Vec<u64>),
+    I64(Vec<i64>),
+    F64(Vec<f64>),
+}
+
+impl ChunkCol<'_> {
+    fn new(ty: ColumnType) -> Self {
+        match ty {
+            ColumnType::Str => ChunkCol::Str(DictBuilder::default(), Vec::new()),
+            ColumnType::U64 => ChunkCol::U64(Vec::new()),
+            ColumnType::I64 => ChunkCol::I64(Vec::new()),
+            ColumnType::F64 => ChunkCol::F64(Vec::new()),
+        }
+    }
+
+    /// Appends the column's encoding to `out`; returns its zone map.
+    fn encode(&self, out: &mut Vec<u8>) -> Option<(f64, f64)> {
+        match self {
+            ChunkCol::Str(dict, ids) => {
+                encode_str(out, dict.entries(), ids);
+                None
+            }
+            ChunkCol::U64(v) => {
+                encode_u64(out, v);
+                zone_of(v.iter().map(|&x| x as f64))
+            }
+            ChunkCol::I64(v) => {
+                encode_i64(out, v);
+                zone_of(v.iter().map(|&x| x as f64))
+            }
+            ChunkCol::F64(v) => {
+                encode_f64(out, v);
+                zone_of(v.iter().copied())
+            }
+        }
+    }
+}
+
+/// The cells a segment is written from: ingest's rows, or compaction's
+/// concatenated column buffers.
+pub(crate) trait Cells {
+    fn row_count(&self) -> usize;
+    /// Appends the cells of `rows` to `chunk`, which holds one entry per
+    /// schema column.
+    fn fill<'a>(&'a self, rows: Range<usize>, chunk: &mut [ChunkCol<'a>]);
+}
+
+/// Rows are gathered a cache-sized block at a time, column by column:
+/// one pass over the rows' memory, and inner loops that each read a
+/// single field.
+impl Cells for [Row] {
+    fn row_count(&self) -> usize {
+        self.len()
+    }
+    fn fill<'a>(&'a self, rows: Range<usize>, chunk: &mut [ChunkCol<'a>]) {
+        for block in self[rows].chunks(256) {
+            for (col, cells) in chunk.iter_mut().enumerate() {
+                match cells {
+                    ChunkCol::Str(dict, ids) => {
+                        ids.extend(block.iter().map(|r| dict.intern(r.str_at(col))))
+                    }
+                    ChunkCol::U64(v) => v.extend(block.iter().map(|r| r.u64_at(col))),
+                    ChunkCol::I64(v) => v.extend(block.iter().map(|r| r.i64_at(col))),
+                    ChunkCol::F64(v) => v.extend(block.iter().map(|r| r.f64_at(col))),
+                }
+            }
+        }
+    }
+}
+
+/// One [`ColumnData`] per schema column, all of the same length. String
+/// ids index (possibly concatenated) source dictionaries; each output
+/// chunk re-interns the entries its rows use, in first-appearance order.
+impl Cells for [ColumnData] {
+    fn row_count(&self) -> usize {
+        self.first().map_or(0, ColumnData::len)
+    }
+    fn fill<'a>(&'a self, rows: Range<usize>, chunk: &mut [ChunkCol<'a>]) {
+        for (source, cells) in self.iter().zip(chunk) {
+            match (source, cells) {
+                (ColumnData::Str(s), ChunkCol::Str(dict, ids)) => ids.extend(
+                    s.ids[rows.clone()]
+                        .iter()
+                        .map(|&id| dict.intern_slot(&s.dict, id)),
+                ),
+                (ColumnData::U64(s), ChunkCol::U64(v)) => v.extend_from_slice(&s[rows.clone()]),
+                (ColumnData::I64(s), ChunkCol::I64(v)) => v.extend_from_slice(&s[rows.clone()]),
+                (ColumnData::F64(s), ChunkCol::F64(v)) => v.extend_from_slice(&s[rows.clone()]),
+                _ => unreachable!("column buffers out of schema order"),
+            }
+        }
+    }
+}
+
 /// Encodes `rows` (plus the batch's run keys) into segment-file bytes.
 pub fn encode_segment(rows: &[Row], run_keys: &[String]) -> Vec<u8> {
+    encode_cells(rows, run_keys)
+}
+
+/// Encodes `cells` (plus the batch's run keys) into segment-file bytes:
+/// the one chunk and footer writer behind ingest and compaction.
+pub(crate) fn encode_cells<C: Cells + ?Sized>(cells: &C, run_keys: &[String]) -> Vec<u8> {
+    let total = cells.row_count();
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC_HEAD);
     let mut chunks = Vec::new();
-    for chunk_rows in rows.chunks(CHUNK_ROWS) {
-        let mut cols = Vec::with_capacity(COLUMNS.len());
-        for (col_idx, (_, ty)) in COLUMNS.iter().enumerate() {
-            let offset = out.len();
-            let zone = match ty {
-                ColumnType::Str => {
-                    let values: Vec<String> = chunk_rows
-                        .iter()
-                        .map(|r| match r.get(col_idx) {
-                            Value::Str(s) => s,
-                            _ => unreachable!(),
-                        })
-                        .collect();
-                    out.extend_from_slice(&encode_str(&values));
-                    None
+    for start in (0..total).step_by(CHUNK_ROWS) {
+        let rows = start..total.min(start + CHUNK_ROWS);
+        let mut chunk: Vec<ChunkCol> = COLUMNS.iter().map(|&(_, ty)| ChunkCol::new(ty)).collect();
+        cells.fill(rows.clone(), &mut chunk);
+        let cols = chunk
+            .iter()
+            .map(|col| {
+                let offset = out.len();
+                let zone = col.encode(&mut out);
+                ChunkColMeta {
+                    offset,
+                    len: out.len() - offset,
+                    zone,
                 }
-                ColumnType::U64 => {
-                    let values: Vec<u64> = chunk_rows
-                        .iter()
-                        .map(|r| match r.get(col_idx) {
-                            Value::U64(v) => v,
-                            _ => unreachable!(),
-                        })
-                        .collect();
-                    out.extend_from_slice(&encode_u64(&values));
-                    zone_of(values.iter().map(|&v| v as f64))
-                }
-                ColumnType::I64 => {
-                    let values: Vec<i64> = chunk_rows
-                        .iter()
-                        .map(|r| match r.get(col_idx) {
-                            Value::I64(v) => v,
-                            _ => unreachable!(),
-                        })
-                        .collect();
-                    out.extend_from_slice(&encode_i64(&values));
-                    zone_of(values.iter().map(|&v| v as f64))
-                }
-                ColumnType::F64 => {
-                    let values: Vec<f64> = chunk_rows
-                        .iter()
-                        .map(|r| match r.get(col_idx) {
-                            Value::F64(v) => v,
-                            _ => unreachable!(),
-                        })
-                        .collect();
-                    out.extend_from_slice(&encode_f64(&values));
-                    zone_of(values.iter().copied())
-                }
-            };
-            cols.push(ChunkColMeta {
-                offset,
-                len: out.len() - offset,
-                zone,
-            });
-        }
+            })
+            .collect();
         chunks.push(ChunkMeta {
-            rows: chunk_rows.len(),
+            rows: rows.len(),
             cols,
         });
     }
@@ -132,12 +201,7 @@ pub fn encode_segment(rows: &[Row], run_keys: &[String]) -> Vec<u8> {
     for (name, ty) in COLUMNS {
         put_varint(&mut footer, name.len() as u64);
         footer.extend_from_slice(name.as_bytes());
-        footer.push(match ty {
-            ColumnType::Str => 0,
-            ColumnType::U64 => 1,
-            ColumnType::I64 => 2,
-            ColumnType::F64 => 3,
-        });
+        footer.push(type_byte(*ty));
     }
     put_varint(&mut footer, chunks.len() as u64);
     for chunk in &chunks {
@@ -160,7 +224,7 @@ pub fn encode_segment(rows: &[Row], run_keys: &[String]) -> Vec<u8> {
         put_varint(&mut footer, key.len() as u64);
         footer.extend_from_slice(key.as_bytes());
     }
-    put_varint(&mut footer, rows.len() as u64);
+    put_varint(&mut footer, total as u64);
 
     let footer_len = footer.len() as u64;
     out.extend_from_slice(&footer);
@@ -169,13 +233,55 @@ pub fn encode_segment(rows: &[Row], run_keys: &[String]) -> Vec<u8> {
     out
 }
 
-/// An open segment: the full file in memory plus its parsed footer.
-/// Chunk columns are decoded on demand.
+fn type_byte(ty: ColumnType) -> u8 {
+    match ty {
+        ColumnType::Str => 0,
+        ColumnType::U64 => 1,
+        ColumnType::I64 => 2,
+        ColumnType::F64 => 3,
+    }
+}
+
+/// Segments up to this size are read whole when opened, and their file
+/// closed: one read costs about what a query's few column reads would,
+/// and a store of many small fragments then holds no descriptor per
+/// fragment.
+const READ_WHOLE_BYTES: u64 = 64 * 1024;
+
+/// Where an open segment's bytes come from.
+#[derive(Debug)]
+enum Source {
+    File(File),
+    Bytes(Vec<u8>),
+}
+
+impl Source {
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        match self {
+            Source::File(file) => file.read_exact_at(buf, offset),
+            Source::Bytes(bytes) => {
+                let src = usize::try_from(offset)
+                    .ok()
+                    .and_then(|at| bytes.get(at..at.checked_add(buf.len())?))
+                    .ok_or(std::io::ErrorKind::UnexpectedEof)?;
+                buf.copy_from_slice(src);
+                Ok(())
+            }
+        }
+    }
+}
+
+/// An open segment: its open file (or, for a small one, its bytes) plus
+/// its parsed footer. Chunk columns are read (`pread`) and decoded on
+/// demand. The handle keeps the file readable after it is unlinked, so a
+/// reader that opened a segment sees all of it even if a compaction
+/// removes it meanwhile.
 #[derive(Debug)]
 pub struct Segment {
-    data: Vec<u8>,
-    pub meta: SegmentMeta,
-    pub path: std::path::PathBuf,
+    source: Source,
+    file_len: u64,
+    pub meta: Arc<SegmentMeta>,
+    pub path: PathBuf,
 }
 
 impl Segment {
@@ -185,82 +291,57 @@ impl Segment {
     }
 
     /// Like [`Segment::open`], but a missing file is `Ok(None)` instead of
-    /// an error. Readers racing a concurrent compaction (which removes
-    /// merged-away segments after writing their replacement) use this to
-    /// skip segments that vanish between the directory listing and the
-    /// read.
+    /// an error: the segment was compacted away after the listing.
     pub fn open_if_present(path: &Path) -> Result<Option<Segment>, String> {
-        let data = match std::fs::read(path) {
-            Ok(data) => data,
+        Self::open_cached(path, None)
+    }
+
+    /// Opens the file at `path`, with its footer from `cached` (the
+    /// store's footer cache) or read from the file.
+    pub(crate) fn open_cached(
+        path: &Path,
+        cached: Option<Arc<SegmentMeta>>,
+    ) -> Result<Option<Segment>, String> {
+        let read_err = |e| format!("cannot read segment {}: {e}", path.display());
+        let file = match File::open(path) {
+            Ok(f) => f,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(format!("cannot read segment {}: {e}", path.display())),
+            Err(e) => return Err(read_err(e)),
         };
-        let meta =
-            parse_footer(&data).map_err(|e| format!("corrupt segment {}: {e}", path.display()))?;
+        let file_len = file.metadata().map_err(read_err)?.len();
+        let source = if file_len <= READ_WHOLE_BYTES {
+            let mut bytes = vec![0u8; file_len as usize];
+            file.read_exact_at(&mut bytes, 0).map_err(read_err)?;
+            Source::Bytes(bytes)
+        } else {
+            Source::File(file)
+        };
+        let meta = match cached {
+            Some(meta) => meta,
+            None => Arc::new(read_footer(path, &source, file_len)?),
+        };
         Ok(Some(Segment {
-            data,
+            source,
+            file_len,
             meta,
             path: path.to_path_buf(),
         }))
     }
 
     /// Parses only the footer of a segment file — enough for run-key
-    /// dedupe checks without decoding any rows. Reads just the trailer
-    /// and footer bytes (three small reads), not the row data, so a
-    /// store of many large segments pays footer-sized I/O per file.
+    /// dedupe checks without decoding any rows. Beyond a small segment's
+    /// single read, it reads just the header, trailer and footer bytes,
+    /// so a store of many large segments pays footer-sized I/O per file.
     pub fn read_meta(path: &Path) -> Result<SegmentMeta, String> {
-        Self::read_meta_if_present(path)?
-            .ok_or_else(|| format!("cannot read segment {}: file not found", path.display()))
+        Self::open(path).map(|seg| Arc::unwrap_or_clone(seg.meta))
     }
 
-    /// Footer-only read with the same missing-file tolerance as
-    /// [`Segment::open_if_present`].
-    pub fn read_meta_if_present(path: &Path) -> Result<Option<SegmentMeta>, String> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut file = match std::fs::File::open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(format!("cannot read segment {}: {e}", path.display())),
-        };
-        let read_err = |e| format!("cannot read segment {}: {e}", path.display());
-        let corrupt = |msg: &str| format!("corrupt segment {}: {msg}", path.display());
-        let file_len = file.metadata().map_err(read_err)?.len();
-        if (file_len as usize) < MAGIC_HEAD.len() + 8 + MAGIC_TAIL.len() {
-            return Err(corrupt("file shorter than magic + footer trailer"));
-        }
-        let mut head = [0u8; 4];
-        file.read_exact(&mut head).map_err(read_err)?;
-        if &head != MAGIC_HEAD {
-            return Err(corrupt("bad header magic (not an hsc segment)"));
-        }
-        let mut trailer = [0u8; 12];
-        file.seek(SeekFrom::End(-12)).map_err(read_err)?;
-        file.read_exact(&mut trailer).map_err(read_err)?;
-        if &trailer[8..] != MAGIC_TAIL {
-            return Err(corrupt("bad trailing magic (truncated write?)"));
-        }
-        let mut len_bytes = [0u8; 8];
-        len_bytes.copy_from_slice(&trailer[..8]);
-        let footer_len = u64::from_le_bytes(len_bytes);
-        let footer_start = (file_len - 12)
-            .checked_sub(footer_len)
-            .ok_or_else(|| corrupt("footer length exceeds file size"))?;
-        let mut footer = vec![0u8; footer_len as usize];
-        file.seek(SeekFrom::Start(footer_start)).map_err(read_err)?;
-        file.read_exact(&mut footer).map_err(read_err)?;
-        parse_footer_body(&footer)
-            .map(Some)
-            .map_err(|e| corrupt(&e))
-    }
-
-    /// Decodes every row of the segment, in chunk/row order — the
-    /// compaction path's source of truth when rewriting small segments.
+    /// Decodes every row of the segment, in chunk/row order.
     pub fn rows(&self) -> Result<Vec<Row>, String> {
-        let mut out = Vec::with_capacity(self.meta.total_rows);
+        let mut out = Vec::new();
         for chunk_idx in 0..self.meta.chunks.len() {
-            let cols: Vec<ColumnData> = (0..COLUMNS.len())
-                .map(|c| self.read_chunk_column(chunk_idx, c))
-                .collect::<Result<_, _>>()?;
+            let cols = self.read_chunk(chunk_idx)?;
+            out.reserve(self.meta.chunks[chunk_idx].rows);
             for i in 0..self.meta.chunks[chunk_idx].rows {
                 let values: Vec<Value> = cols.iter().map(|c| c.value(i)).collect();
                 out.push(Row::from_values(&values)?);
@@ -269,12 +350,29 @@ impl Segment {
         Ok(out)
     }
 
+    /// Reads `len` bytes at `offset`, after checking the range lies in
+    /// the file, so a corrupt footer can never size an allocation.
+    fn read_range(&self, offset: usize, len: usize) -> Result<Vec<u8>, String> {
+        offset
+            .checked_add(len)
+            .filter(|&end| end as u64 <= self.file_len)
+            .ok_or_else(|| {
+                format!(
+                    "corrupt segment {}: chunk byte range out of file bounds",
+                    self.path.display()
+                )
+            })?;
+        let mut buf = vec![0u8; len];
+        self.source
+            .read_exact_at(&mut buf, offset as u64)
+            .map_err(|e| format!("cannot read segment {}: {e}", self.path.display()))?;
+        Ok(buf)
+    }
+
     /// Raw bytes of column `col_idx` in chunk `chunk_idx`.
-    pub fn chunk_col_bytes(&self, chunk_idx: usize, col_idx: usize) -> Result<&[u8], String> {
+    pub fn chunk_col_bytes(&self, chunk_idx: usize, col_idx: usize) -> Result<Vec<u8>, String> {
         let col = &self.meta.chunks[chunk_idx].cols[col_idx];
-        self.data
-            .get(col.offset..col.offset + col.len)
-            .ok_or_else(|| "chunk byte range out of file bounds".to_string())
+        self.read_range(col.offset, col.len)
     }
 
     /// Decodes column `col_idx` of chunk `chunk_idx`.
@@ -284,46 +382,105 @@ impl Segment {
         col_idx: usize,
     ) -> Result<ColumnData, String> {
         let bytes = self.chunk_col_bytes(chunk_idx, col_idx)?;
-        let data = match COLUMNS[col_idx].1 {
-            ColumnType::Str => ColumnData::Str(decode_str(bytes)?),
-            ColumnType::U64 => ColumnData::U64(decode_u64(bytes)?),
-            ColumnType::I64 => ColumnData::I64(decode_i64(bytes)?),
-            ColumnType::F64 => ColumnData::F64(decode_f64(bytes)?),
-        };
-        if data.len() != self.meta.chunks[chunk_idx].rows {
-            return Err(format!(
-                "chunk {chunk_idx} column {} decoded {} rows, footer says {}",
-                COLUMNS[col_idx].0,
-                data.len(),
-                self.meta.chunks[chunk_idx].rows
-            ));
+        let mut col = ColumnData::empty(COLUMNS[col_idx].1);
+        self.decode_checked(chunk_idx, col_idx, &bytes, &mut col)?;
+        Ok(col)
+    }
+
+    /// Decodes every column of chunk `chunk_idx`.
+    pub fn read_chunk(&self, chunk_idx: usize) -> Result<Vec<ColumnData>, String> {
+        let mut cols: Vec<ColumnData> = COLUMNS
+            .iter()
+            .map(|&(_, ty)| ColumnData::empty(ty))
+            .collect();
+        self.read_chunk_into(chunk_idx, &mut cols)?;
+        Ok(cols)
+    }
+
+    /// Decodes every column of chunk `chunk_idx` onto the end of `cols`
+    /// (one per schema column), from one read of the chunk's byte span.
+    pub(crate) fn read_chunk_into(
+        &self,
+        chunk_idx: usize,
+        cols: &mut [ColumnData],
+    ) -> Result<(), String> {
+        let metas = &self.meta.chunks[chunk_idx].cols;
+        let start = metas.iter().map(|c| c.offset).min().unwrap_or(0);
+        let end = metas
+            .iter()
+            .map(|c| c.offset.checked_add(c.len))
+            .try_fold(start, |end, e| e.map(|e| end.max(e)))
+            .ok_or_else(|| {
+                format!(
+                    "corrupt segment {}: chunk byte range out of file bounds",
+                    self.path.display()
+                )
+            })?;
+        let span = self.read_range(start, end - start)?;
+        for (col_idx, (meta, col)) in metas.iter().zip(cols).enumerate() {
+            let at = meta.offset - start;
+            self.decode_checked(chunk_idx, col_idx, &span[at..at + meta.len], col)?;
         }
-        Ok(data)
+        Ok(())
+    }
+
+    /// Decodes one chunk column's bytes onto `col` and checks the row
+    /// count against the footer.
+    fn decode_checked(
+        &self,
+        chunk_idx: usize,
+        col_idx: usize,
+        bytes: &[u8],
+        col: &mut ColumnData,
+    ) -> Result<(), String> {
+        let corrupt = |e: String| format!("corrupt segment {}: {e}", self.path.display());
+        let before = col.len();
+        decode_into(bytes, col).map_err(corrupt)?;
+        let rows = self.meta.chunks[chunk_idx].rows;
+        if col.len() - before != rows {
+            return Err(corrupt(format!(
+                "chunk {chunk_idx} column {} decoded {} rows, footer says {rows}",
+                COLUMNS[col_idx].0,
+                col.len() - before,
+            )));
+        }
+        Ok(())
     }
 }
 
-fn parse_footer(data: &[u8]) -> Result<SegmentMeta, String> {
-    if data.len() < MAGIC_HEAD.len() + 8 + MAGIC_TAIL.len() {
-        return Err("file shorter than magic + footer trailer".to_string());
+/// Reads and parses the footer of the segment at `path`, whose `len`
+/// bytes `source` holds: header magic, trailer, then the footer body.
+fn read_footer(path: &Path, source: &Source, len: u64) -> Result<SegmentMeta, String> {
+    let read_err = |e| format!("cannot read segment {}: {e}", path.display());
+    let corrupt = |msg: &str| format!("corrupt segment {}: {msg}", path.display());
+    if len < (MAGIC_HEAD.len() + 8 + MAGIC_TAIL.len()) as u64 {
+        return Err(corrupt("file shorter than magic + footer trailer"));
     }
-    if &data[..4] != MAGIC_HEAD {
-        return Err("bad header magic (not an hsc segment)".to_string());
+    let mut head = [0u8; 4];
+    source.read_exact_at(&mut head, 0).map_err(read_err)?;
+    if &head != MAGIC_HEAD {
+        return Err(corrupt("bad header magic (not an hsc segment)"));
     }
-    if &data[data.len() - 4..] != MAGIC_TAIL {
-        return Err("bad trailing magic (truncated write?)".to_string());
+    let mut trailer = [0u8; 12];
+    source
+        .read_exact_at(&mut trailer, len - 12)
+        .map_err(read_err)?;
+    if &trailer[8..] != MAGIC_TAIL {
+        return Err(corrupt("bad trailing magic (truncated write?)"));
     }
-    let mut len_bytes = [0u8; 8];
-    len_bytes.copy_from_slice(&data[data.len() - 12..data.len() - 4]);
-    let footer_len = u64::from_le_bytes(len_bytes) as usize;
-    let footer_end = data.len() - 12;
-    let footer_start = footer_end
+    let footer_len = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes"));
+    let footer_start = (len - 12)
         .checked_sub(footer_len)
-        .ok_or_else(|| "footer length exceeds file size".to_string())?;
-    parse_footer_body(&data[footer_start..footer_end])
+        .ok_or_else(|| corrupt("footer length exceeds file size"))?;
+    let mut footer = vec![0u8; footer_len as usize];
+    source
+        .read_exact_at(&mut footer, footer_start)
+        .map_err(read_err)?;
+    parse_footer_body(&footer).map_err(|e| corrupt(&e))
 }
 
 /// Parses the footer bytes themselves (column index, chunk table, run
-/// keys, row total) — shared by the whole-file and footer-only readers.
+/// keys, row total).
 fn parse_footer_body(footer: &[u8]) -> Result<SegmentMeta, String> {
     let mut pos = 0;
     let ncols = get_varint(footer, &mut pos)? as usize;
@@ -346,25 +503,27 @@ fn parse_footer_body(footer: &[u8]) -> Result<SegmentMeta, String> {
             .get(pos)
             .ok_or_else(|| "truncated column type".to_string())?;
         pos += 1;
-        let want_ty = match ty {
-            ColumnType::Str => 0,
-            ColumnType::U64 => 1,
-            ColumnType::I64 => 2,
-            ColumnType::F64 => 3,
-        };
-        if got != *name || ty_byte != want_ty {
+        if got != *name || ty_byte != type_byte(*ty) {
             return Err(format!(
                 "column mismatch: segment has {got:?}/type {ty_byte}, schema wants {name:?}"
             ));
         }
     }
 
-    let nchunks = get_varint(footer, &mut pos)? as usize;
-    let mut chunks = Vec::with_capacity(nchunks);
+    // Each chunk entry takes at least a row-count byte plus, per column,
+    // offset, length and zone-flag bytes; each run key a length byte.
+    let nchunks = get_varint(footer, &mut pos)?;
+    let chunk_min = 1 + 3 * COLUMNS.len();
+    let mut chunks = Vec::with_capacity(capped(nchunks, footer.len() - pos, chunk_min));
     let mut total = 0usize;
     for _ in 0..nchunks {
         let rows = get_varint(footer, &mut pos)? as usize;
-        total += rows;
+        if rows > CHUNK_ROWS {
+            return Err(format!("chunk of {rows} rows, more than {CHUNK_ROWS}"));
+        }
+        total = total
+            .checked_add(rows)
+            .ok_or_else(|| "chunk row counts overflow".to_string())?;
         let mut cols = Vec::with_capacity(COLUMNS.len());
         for _ in COLUMNS {
             let offset = get_varint(footer, &mut pos)? as usize;
@@ -378,15 +537,10 @@ fn parse_footer_body(footer: &[u8]) -> Result<SegmentMeta, String> {
                     .checked_add(16)
                     .filter(|&e| e <= footer.len())
                     .ok_or_else(|| "truncated zone map".to_string())?;
-                let mut lo = [0u8; 8];
-                let mut hi = [0u8; 8];
-                lo.copy_from_slice(&footer[pos..pos + 8]);
-                hi.copy_from_slice(&footer[pos + 8..end]);
+                let lo = u64::from_le_bytes(footer[pos..pos + 8].try_into().expect("8 bytes"));
+                let hi = u64::from_le_bytes(footer[pos + 8..end].try_into().expect("8 bytes"));
                 pos = end;
-                Some((
-                    f64::from_bits(u64::from_le_bytes(lo)),
-                    f64::from_bits(u64::from_le_bytes(hi)),
-                ))
+                Some((f64::from_bits(lo), f64::from_bits(hi)))
             } else {
                 None
             };
@@ -395,8 +549,8 @@ fn parse_footer_body(footer: &[u8]) -> Result<SegmentMeta, String> {
         chunks.push(ChunkMeta { rows, cols });
     }
 
-    let nkeys = get_varint(footer, &mut pos)? as usize;
-    let mut run_keys = Vec::with_capacity(nkeys);
+    let nkeys = get_varint(footer, &mut pos)?;
+    let mut run_keys = Vec::with_capacity(capped(nkeys, footer.len() - pos, 1));
     for _ in 0..nkeys {
         let len = get_varint(footer, &mut pos)? as usize;
         let end = pos
@@ -499,6 +653,22 @@ mod tests {
     }
 
     #[test]
+    fn small_segments_are_read_whole_and_large_ones_stay_open() {
+        let small = write_tmp(&encode_segment(&sample_rows(10), &[]));
+        let seg = Segment::open(&small).unwrap();
+        assert!(matches!(seg.source, Source::Bytes(_)));
+        std::fs::remove_dir_all(small.parent().unwrap()).ok();
+        // Still readable in full after the file is gone.
+        assert_eq!(seg.rows().unwrap().len(), 10);
+
+        let large = write_tmp(&encode_segment(&sample_rows(5_000), &[]));
+        let seg = Segment::open(&large).unwrap();
+        assert!(matches!(seg.source, Source::File(_)));
+        std::fs::remove_dir_all(large.parent().unwrap()).ok();
+        assert_eq!(seg.rows().unwrap().len(), 5_000);
+    }
+
+    #[test]
     fn zone_maps_cover_numeric_columns() {
         let rows = sample_rows(50);
         let bytes = encode_segment(&rows, &[]);
@@ -514,6 +684,39 @@ mod tests {
         assert_eq!(lo, 1.0);
         assert_eq!(hi, 48.0);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    /// A footer body's column index, as the writer lays it out.
+    fn column_index() -> Vec<u8> {
+        let mut footer = Vec::new();
+        put_varint(&mut footer, COLUMNS.len() as u64);
+        for (name, ty) in COLUMNS {
+            put_varint(&mut footer, name.len() as u64);
+            footer.extend_from_slice(name.as_bytes());
+            footer.push(type_byte(*ty));
+        }
+        footer
+    }
+
+    #[test]
+    fn footer_parser_rejects_huge_chunk_row_and_key_counts() {
+        let mut chunks = column_index();
+        put_varint(&mut chunks, 1 << 36);
+        chunks.extend_from_slice(&[0; 8]);
+        assert!(parse_footer_body(&chunks).is_err());
+
+        let mut rows = column_index();
+        put_varint(&mut rows, 1);
+        put_varint(&mut rows, CHUNK_ROWS as u64 + 1);
+        rows.extend_from_slice(&[0; 64]);
+        let err = parse_footer_body(&rows).unwrap_err();
+        assert!(err.contains("more than"), "{err}");
+
+        let mut keys = column_index();
+        put_varint(&mut keys, 0);
+        put_varint(&mut keys, 1 << 36);
+        keys.extend_from_slice(&[0; 8]);
+        assert!(parse_footer_body(&keys).is_err());
     }
 
     #[test]

@@ -22,8 +22,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use crate::schema::Row;
-use crate::segment::{encode_segment, Segment, SegmentMeta, CHUNK_ROWS};
+use crate::column::ColumnData;
+use crate::schema::{Row, COLUMNS};
+use crate::segment::{encode_cells, encode_segment, Segment, SegmentMeta, CHUNK_ROWS};
 
 /// 64-bit FNV-1a — the store's only hash. Used for segment names and for
 /// config hashes (see [`crate::ingest::config_hash`]).
@@ -94,39 +95,45 @@ impl Store {
         Ok(paths)
     }
 
-    /// Opens every segment. A segment that vanishes between the listing
-    /// and the read (a concurrent compaction removed it after writing its
-    /// replacement) is skipped, not an error.
+    /// Opens every segment, footers via the handle's cache. A segment
+    /// that vanishes before it is opened (a concurrent compaction removed
+    /// it after writing its replacement) is skipped, not an error; one
+    /// that vanishes later stays readable through its open handle, so the
+    /// returned set is a snapshot that no compaction can tear.
     pub fn segments(&self) -> Result<Vec<Segment>, String> {
         let paths = self
             .segment_paths()
             .map_err(|e| format!("cannot list store {}: {e}", self.dir.display()))?;
         let mut segments = Vec::with_capacity(paths.len());
         for p in &paths {
-            if let Some(seg) = Segment::open_if_present(p)? {
+            if let Some(seg) = self.open_segment(p)? {
                 segments.push(seg);
             }
         }
         Ok(segments)
     }
 
+    /// Opens the segment at `path`, taking its footer from the cache or
+    /// reading it from the file. `None` when the file is gone.
+    pub(crate) fn open_segment(&self, path: &Path) -> Result<Option<Segment>, String> {
+        let name = segment_name(path)?;
+        let cached = self.cache_lock().get(name).cloned();
+        let fresh = cached.is_none();
+        let seg = Segment::open_cached(path, cached)?;
+        if let Some(seg) = seg.as_ref().filter(|_| fresh) {
+            self.cache_lock()
+                .insert(name.to_string(), Arc::clone(&seg.meta));
+        }
+        Ok(seg)
+    }
+
     /// The parsed footer of the segment at `path`, via the handle's
     /// footer cache. `None` when the file is gone (compacted away).
     pub fn segment_meta(&self, path: &Path) -> Result<Option<Arc<SegmentMeta>>, String> {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .ok_or_else(|| format!("segment path {} has no file name", path.display()))?
-            .to_string();
-        if let Some(meta) = self.cache_lock().get(&name) {
+        if let Some(meta) = self.cache_lock().get(segment_name(path)?) {
             return Ok(Some(Arc::clone(meta)));
         }
-        let Some(meta) = Segment::read_meta_if_present(path)? else {
-            return Ok(None);
-        };
-        let meta = Arc::new(meta);
-        self.cache_lock().insert(name, Arc::clone(&meta));
-        Ok(Some(meta))
+        Ok(self.open_segment(path)?.map(|seg| seg.meta))
     }
 
     /// The footer cache never holds partial state across a panic (inserts
@@ -185,7 +192,12 @@ impl Store {
     ///
     /// Rows are concatenated in segment-name/chunk/row order and run keys
     /// unioned, so queries and replay dedupe see identical data before
-    /// and after. The merged segment is written (content-addressed, temp
+    /// and after. The rows never exist as [`Row`]s: each chunk's columns
+    /// are decoded and appended to one buffer per column (strings as ids
+    /// into their source dictionaries), and the shared segment writer
+    /// re-encodes those buffers, building each output chunk's dictionary
+    /// and zone maps. The bytes equal [`encode_segment`] over the same
+    /// rows. The merged segment is written (content-addressed, temp
     /// file + rename) *before* the old segments are removed: a crash at
     /// any point leaves either the old segments plus an ignorable temp
     /// file, or the merged segment plus some not-yet-removed old ones —
@@ -218,20 +230,25 @@ impl Store {
             return Ok(report);
         }
 
-        let mut rows: Vec<Row> = Vec::new();
+        let mut cols: Vec<ColumnData> = COLUMNS
+            .iter()
+            .map(|&(_, ty)| ColumnData::empty(ty))
+            .collect();
         let mut keys: BTreeSet<String> = BTreeSet::new();
         for p in &small {
-            let Some(seg) = Segment::open_if_present(p)? else {
+            let Some(seg) = self.open_segment(p)? else {
                 // Vanished under us: a concurrent pass merged it already.
                 // Its rows live in that pass's output; retrying later
                 // sees the settled state.
                 return Ok(report);
             };
             keys.extend(seg.meta.run_keys.iter().cloned());
-            rows.append(&mut seg.rows()?);
+            for chunk in 0..seg.meta.chunks.len() {
+                seg.read_chunk_into(chunk, &mut cols)?;
+            }
         }
         let keys: Vec<String> = keys.into_iter().collect();
-        let merged = write_segment(&self.dir, &encode_segment(&rows, &keys))?;
+        let merged = write_segment(&self.dir, &encode_cells(cols.as_slice(), &keys))?;
         for p in &small {
             if **p == merged {
                 continue;
@@ -246,7 +263,7 @@ impl Store {
             }
         }
         report.merged = small.len();
-        report.rows = rows.len();
+        report.rows = cols[0].len();
         report.segments_after = self
             .segment_paths()
             .map_err(|e| format!("cannot list store {}: {e}", self.dir.display()))?
@@ -297,6 +314,13 @@ impl Store {
     }
 }
 
+/// The file name of a segment path, the footer cache's key.
+fn segment_name(path: &Path) -> Result<&str, String> {
+    path.file_name()
+        .and_then(|n| n.to_str())
+        .ok_or_else(|| format!("segment path {} has no file name", path.display()))
+}
+
 /// Writes encoded segment bytes under their content-addressed name via a
 /// temp file + atomic rename; returns the final path. Shared by ingest
 /// commits and compaction.
@@ -342,11 +366,18 @@ impl IngestBatch<'_> {
         if self.rows.is_empty() {
             return Ok(None);
         }
-        let keys: BTreeSet<String> = self
-            .rows
-            .iter()
-            .map(|r| run_key(&r.campaign, &r.run, &r.config))
-            .collect();
+        let mut keys: BTreeSet<String> = BTreeSet::new();
+        let mut prev: Option<&Row> = None;
+        for r in &self.rows {
+            // A batch holds long runs of one key: format each run once.
+            let same = prev.is_some_and(|p| {
+                (&p.campaign, &p.run, &p.config) == (&r.campaign, &r.run, &r.config)
+            });
+            if !same {
+                keys.insert(run_key(&r.campaign, &r.run, &r.config));
+            }
+            prev = Some(r);
+        }
         let keys: Vec<String> = keys.into_iter().collect();
         let bytes = encode_segment(&self.rows, &keys);
         write_segment(&self.store.dir, &bytes).map(Some)
@@ -526,6 +557,66 @@ mod tests {
         assert!(big.exists(), "4-row segment survives a 2-row threshold");
         std::fs::remove_dir_all(&dir_a).ok();
         std::fs::remove_dir_all(&dir_b).ok();
+    }
+
+    /// Row `i` of input segment `seg`: string pools that overlap across
+    /// segments (so source dictionaries share entries), empty strings,
+    /// NaNs and counters that go up and down.
+    fn mixed_row(seg: usize, i: usize) -> Row {
+        let pool = ["Dynamic", "", "Random", "Sorted", "TwoPhase", "Dynamic"];
+        let mut r = Row::new(
+            "mix",
+            &format!("r{seg}"),
+            ["probe", "report", ""][i % 3],
+            "cfg",
+        );
+        r.strategy = pool[(seg + i % 3) % pool.len()].to_string();
+        r.metric = if i.is_multiple_of(4) {
+            String::new()
+        } else {
+            format!("m{}", (i / 7 + seg) % 5)
+        };
+        r.seed = (seg * 1000 + i / 100) as u64;
+        r.worker = (i % 9) as i64 - 1;
+        r.blocks = (i * 2_654_435_761 % 97) as u64;
+        r.t = i as f64 * 0.25;
+        r.value = if i.is_multiple_of(5) {
+            f64::NAN
+        } else {
+            (i % 13) as f64 - 6.5
+        };
+        r
+    }
+
+    #[test]
+    fn compaction_is_byte_identical_to_encoding_the_concatenated_rows() {
+        let dir = scratch("compact-bytes");
+        let store = Store::open(&dir).unwrap();
+        // Mixed sizes summing past one chunk, so the output has two.
+        for (seg, n) in [1, 7_000, 30_000, 12, 25_000, 9_000]
+            .into_iter()
+            .enumerate()
+        {
+            let mut b = store.batch();
+            b.push_all((0..n).map(|i| mixed_row(seg, i)));
+            b.commit().unwrap();
+        }
+        let mut rows = Vec::new();
+        let mut keys = BTreeSet::new();
+        for p in store.segment_paths().unwrap() {
+            let seg = Segment::open(&p).unwrap();
+            keys.extend(seg.meta.run_keys.iter().cloned());
+            rows.extend(seg.rows().unwrap());
+        }
+        let keys: Vec<String> = keys.into_iter().collect();
+        let want = format!("seg-{:016x}.hsc", fnv1a64(&encode_segment(&rows, &keys)));
+
+        let report = store.compact(CHUNK_ROWS).unwrap();
+        assert_eq!((report.merged, report.rows), (6, rows.len()));
+        let paths = store.segment_paths().unwrap();
+        assert_eq!(paths, vec![dir.join(want)], "same content-addressed name");
+        assert_eq!(Segment::open(&paths[0]).unwrap().meta.chunks.len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
