@@ -157,6 +157,11 @@ impl<'a> DictBuilder<'a> {
     pub(crate) fn entries(&self) -> &[&'a str] {
         &self.entries
     }
+
+    #[cfg(test)]
+    pub(crate) fn memo_len(&self) -> usize {
+        self.memo.len()
+    }
 }
 
 /// A capacity for `count` items of at least `min_bytes` bytes each when
@@ -190,7 +195,10 @@ pub fn decode_str(buf: &[u8], out: &mut StrColumn) -> Result<(), String> {
     let mut pos = 0;
     let dict_n = get_varint(buf, &mut pos)?;
     let base = out.dict.len() as u64;
-    if base + dict_n > u64::from(u32::MAX) {
+    if base
+        .checked_add(dict_n)
+        .is_none_or(|n| n > u64::from(u32::MAX))
+    {
         return Err(format!("string chunk dictionary of {dict_n} entries"));
     }
     // Every entry costs at least its one-byte length varint.
@@ -465,5 +473,8 @@ mod tests {
         put_varint(&mut buf, 1 << 36);
         buf.extend_from_slice(&[0, 0]);
         assert!(dec(decode_str, &buf).is_err());
+        // A count that overflows past the entries already in the column.
+        let mut col = dec(decode_str, &encode_strs(&["a"])).unwrap();
+        assert!(decode_str(&huge_count(u64::MAX, &[1, b'a']), &mut col).is_err());
     }
 }

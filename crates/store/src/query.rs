@@ -16,10 +16,13 @@
 //! (footers from the store handle's cache) and prunes chunks against the
 //! footer zone maps before a single row byte is read; the open handles
 //! are held until the query ends, so a compaction that unlinks a segment
-//! mid-query cannot hide any of its rows. Execution reads (`pread`) only
-//! the column ranges a surviving chunk needs: its *filter* columns first,
-//! and the projected/aggregated columns only if some row matched — a
-//! chunk that zone-passes but row-fails costs its filter columns, not all.
+//! mid-query cannot hide any of its rows. Open files are bounded by the
+//! process's descriptor budget: a segment planned past it has the columns
+//! its surviving chunks need read at plan time and its file closed.
+//! Execution reads (`pread`) only the column ranges a surviving chunk
+//! needs: its *filter* columns first, and the projected/aggregated
+//! columns only if some row matched — a chunk that zone-passes but
+//! row-fails costs its filter columns, not all.
 //!
 //! Scans work on the encoded columns. A string predicate becomes a set of
 //! the chunk's dictionary ids (`=` finds no id → the chunk is skipped);
@@ -46,7 +49,7 @@ use hetsched_util::parallel_map;
 
 use crate::column::ColumnData;
 use crate::schema::{column_index, ColumnType, Value, COLUMNS};
-use crate::segment::Segment;
+use crate::segment::{ChunkMeta, FdBudget, Segment, SegmentMeta, DESCRIPTORS};
 use crate::store::Store;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -623,6 +626,16 @@ pub(crate) struct Plan<'q> {
 /// prune chunks against the footer zone maps here, before any row data
 /// is read.
 pub(crate) fn plan<'q>(store: &Store, q: &'q Query) -> Result<Plan<'q>, String> {
+    plan_with(store, q, &DESCRIPTORS)
+}
+
+/// [`plan`], holding open only the segment files `budget` allows. A
+/// segment past it has the columns its surviving chunks need read now.
+pub(crate) fn plan_with<'q>(
+    store: &Store,
+    q: &'q Query,
+    budget: &'static FdBudget,
+) -> Result<Plan<'q>, String> {
     let grouped = !q.aggs.is_empty();
     let select: Vec<usize> = if grouped {
         Vec::new()
@@ -645,21 +658,40 @@ pub(crate) fn plan<'q>(store: &Store, q: &'q Query) -> Result<Plan<'q>, String> 
         }
     }
 
+    let admitted = |chunk: &ChunkMeta| {
+        q.filters
+            .iter()
+            .all(|f| match (&f.literal, chunk.cols[f.col].zone) {
+                (Literal::Num(lit), Some(zone)) => zone_admits(zone, f.op, *lit),
+                _ => true,
+            })
+    };
+    let needed = |meta: &SegmentMeta| -> Vec<(usize, usize)> {
+        let cols = filter_cols.iter().chain(&body_cols);
+        meta.chunks
+            .iter()
+            .filter(|chunk| admitted(chunk))
+            .flat_map(|chunk| {
+                cols.clone()
+                    .map(|&c| (chunk.cols[c].offset, chunk.cols[c].len))
+            })
+            .collect()
+    };
+    let paths = store
+        .segment_paths()
+        .map_err(|e| format!("cannot list store {}: {e}", store.dir().display()))?;
     let mut segments = Vec::new();
     let mut work = Vec::new();
-    // `segments()` sorts by name, so the work list — the merge order — is
-    // a pure function of the store contents.
-    for seg in store.segments()? {
+    // Paths sort by name, so the work list — the merge order — is a pure
+    // function of the store contents. A segment that vanished since the
+    // listing was compacted away; its rows are in the merged segment.
+    for path in &paths {
+        let Some(seg) = store.open_segment_with(path, budget, needed)? else {
+            continue;
+        };
         let before = work.len();
         for (c, chunk) in seg.meta.chunks.iter().enumerate() {
-            let admitted = q
-                .filters
-                .iter()
-                .all(|f| match (&f.literal, chunk.cols[f.col].zone) {
-                    (Literal::Num(lit), Some(zone)) => zone_admits(zone, f.op, *lit),
-                    _ => true,
-                });
-            if admitted {
+            if admitted(chunk) {
                 work.push((segments.len(), c));
             }
         }
@@ -1190,6 +1222,64 @@ mod tests {
         let after = run_query(&store, &q).unwrap().to_csv();
         assert_eq!(after, "strategy,count,sum(value)\nS,1,1\n");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_plan_past_the_descriptor_budget_reads_its_chunks_ahead() {
+        static NONE: FdBudget = FdBudget::new(|| 0);
+        static TWO: FdBudget = FdBudget::new(|| 2);
+        let queries = [
+            build_query(
+                None,
+                Some("value>=3"),
+                Some("strategy"),
+                Some("count,sum(value)"),
+                None,
+            ),
+            build_query(
+                Some("strategy,value"),
+                Some("value=8..9,kind=report"),
+                None,
+                None,
+                None,
+            ),
+        ]
+        .map(Result::unwrap);
+        for (cap, budget) in [(0, &NONE), (2, &TWO)] {
+            // A 2-chunk segment plus four small ones. The first query
+            // keeps two segments, the second one, so both caps are
+            // exceeded and the 2-chunk segment is read ahead under each.
+            let rows = (0..CHUNK_ROWS + 100)
+                .map(|i| report(["D", "R"][i % 2], "m", (i % 10) as f64, f64::NAN))
+                .collect();
+            let (store, dir) = test_store(&format!("budget-{cap}"), rows);
+            for v in 0..4 {
+                let mut b = store.batch();
+                b.push(report("S", "m", f64::from(v), f64::NAN));
+                b.commit().unwrap();
+            }
+            let want: Vec<String> = queries
+                .iter()
+                .map(|q| run_query(&store, q).unwrap().to_csv())
+                .collect();
+
+            let planned: Vec<Plan> = queries
+                .iter()
+                .map(|q| plan_with(&store, q, budget).unwrap())
+                .collect();
+            let segments: Vec<&Segment> = planned.iter().flat_map(|p| &p.segments).collect();
+            let held = segments.iter().filter(|s| s.holds_file()).count();
+            assert_eq!((segments.len(), held, budget.held()), (3, cap, cap));
+            for seg in store.segment_paths().unwrap() {
+                std::fs::remove_file(seg).unwrap();
+            }
+            for (planned, want) in planned.iter().zip(&want) {
+                assert_eq!(&planned.execute(Some(2)).unwrap().to_csv(), want);
+            }
+            drop(planned);
+            assert_eq!(budget.held(), 0, "a finished plan returns its descriptors");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

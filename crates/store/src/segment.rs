@@ -18,11 +18,13 @@
 //! count. Readers parse the footer, then decode only the chunk/column
 //! ranges a query actually touches.
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::ops::Range;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use crate::column::{
     capped, decode_into, encode_f64, encode_i64, encode_str, encode_u64, zone_of, ColumnData,
@@ -148,11 +150,18 @@ impl Cells for [ColumnData] {
     fn fill<'a>(&'a self, rows: Range<usize>, chunk: &mut [ChunkCol<'a>]) {
         for (source, cells) in self.iter().zip(chunk) {
             match (source, cells) {
-                (ColumnData::Str(s), ChunkCol::Str(dict, ids)) => ids.extend(
-                    s.ids[rows.clone()]
-                        .iter()
-                        .map(|&id| dict.intern_slot(&s.dict, id)),
-                ),
+                (ColumnData::Str(s), ChunkCol::Str(dict, ids)) => {
+                    // The rows' ids index only the dictionaries of the
+                    // source chunks they come from, which lie back to
+                    // back: memoize that slot range, not the whole
+                    // concatenation, so each source entry is memoized for
+                    // at most two output chunks.
+                    let cells = &s.ids[rows.clone()];
+                    let lo = cells.iter().copied().min().unwrap_or(0);
+                    let hi = cells.iter().copied().max().map_or(0, |hi| hi as usize + 1);
+                    let source = &s.dict[lo as usize..hi];
+                    ids.extend(cells.iter().map(|&id| dict.intern_slot(source, id - lo)));
+                }
                 (ColumnData::U64(s), ChunkCol::U64(v)) => v.extend_from_slice(&s[rows.clone()]),
                 (ColumnData::I64(s), ChunkCol::I64(v)) => v.extend_from_slice(&s[rows.clone()]),
                 (ColumnData::F64(s), ChunkCol::F64(v)) => v.extend_from_slice(&s[rows.clone()]),
@@ -242,40 +251,153 @@ fn type_byte(ty: ColumnType) -> u8 {
     }
 }
 
-/// Segments up to this size are read whole when opened, and their file
-/// closed: one read costs about what a query's few column reads would,
-/// and a store of many small fragments then holds no descriptor per
-/// fragment.
-const READ_WHOLE_BYTES: u64 = 64 * 1024;
+/// A budget of file descriptors that open segments may hold at once.
+#[derive(Debug)]
+pub(crate) struct FdBudget {
+    limit: fn() -> usize,
+    held: AtomicUsize,
+}
+
+/// The process-wide budget: half the soft open-file limit. However many
+/// segments a store holds, queries and [`crate::Store::segments`] leave
+/// the other half to ingest writes, sockets and the rest of the process.
+pub(crate) static DESCRIPTORS: FdBudget = FdBudget::new(half_open_file_limit);
+
+impl FdBudget {
+    pub(crate) const fn new(limit: fn() -> usize) -> FdBudget {
+        FdBudget {
+            limit,
+            held: AtomicUsize::new(0),
+        }
+    }
+
+    /// Claims one descriptor, or `None` when the budget is spent.
+    fn claim(&'static self) -> Option<FdClaim> {
+        let limit = (self.limit)();
+        self.held
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |held| {
+                (held < limit).then_some(held + 1)
+            })
+            .ok()
+            .map(|_| FdClaim(self))
+    }
+
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> usize {
+        self.held.load(Ordering::Acquire)
+    }
+}
+
+/// One claimed descriptor, returned to its budget on drop.
+#[derive(Debug)]
+struct FdClaim(&'static FdBudget);
+
+impl Drop for FdClaim {
+    fn drop(&mut self) {
+        self.0.held.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// Half the soft limit on open files (`RLIMIT_NOFILE`), read once from
+/// `/proc/self/limits`. Where that file is missing or unreadable, the
+/// soft limit is taken as 256, the smallest common default.
+fn half_open_file_limit() -> usize {
+    static HALF: OnceLock<usize> = OnceLock::new();
+    *HALF.get_or_init(|| {
+        let soft = std::fs::read_to_string("/proc/self/limits")
+            .ok()
+            .and_then(|limits| {
+                let line = limits.lines().find(|l| l.starts_with("Max open files"))?;
+                match line["Max open files".len()..].split_whitespace().next()? {
+                    "unlimited" => Some(usize::MAX),
+                    soft => soft.parse().ok(),
+                }
+            })
+            .unwrap_or(256);
+        soft / 2
+    })
+}
 
 /// Where an open segment's bytes come from.
 #[derive(Debug)]
 enum Source {
-    File(File),
-    Bytes(Vec<u8>),
+    /// The open file, read (`pread`) on demand. It holds one descriptor
+    /// of the budget it was opened under.
+    File { file: File, _claim: FdClaim },
+    /// The byte ranges read when the segment was opened because the
+    /// budget was spent, as `(offset, bytes)` sorted by offset. The file
+    /// is closed; only these ranges can be read.
+    Read(Vec<(usize, Vec<u8>)>),
 }
 
 impl Source {
-    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    /// The bytes of `offset..offset + len`, which lies in the file.
+    fn read(&self, offset: usize, len: usize) -> std::io::Result<Cow<'_, [u8]>> {
         match self {
-            Source::File(file) => file.read_exact_at(buf, offset),
-            Source::Bytes(bytes) => {
-                let src = usize::try_from(offset)
-                    .ok()
-                    .and_then(|at| bytes.get(at..at.checked_add(buf.len())?))
-                    .ok_or(std::io::ErrorKind::UnexpectedEof)?;
-                buf.copy_from_slice(src);
-                Ok(())
+            Source::File { file, .. } => read_file(file, offset, len).map(Cow::Owned),
+            Source::Read(_) if len == 0 => Ok(Cow::Borrowed(&[])),
+            Source::Read(ranges) => {
+                let i = ranges.partition_point(|&(start, _)| start <= offset);
+                i.checked_sub(1)
+                    .and_then(|i| {
+                        let (start, bytes) = &ranges[i];
+                        bytes.get(offset - start..(offset - start).checked_add(len)?)
+                    })
+                    .map(Cow::Borrowed)
+                    .ok_or_else(|| {
+                        std::io::Error::other(format!(
+                            "bytes {offset}+{len} were not read when the segment was opened"
+                        ))
+                    })
             }
         }
     }
 }
 
-/// An open segment: its open file (or, for a small one, its bytes) plus
-/// its parsed footer. Chunk columns are read (`pread`) and decoded on
-/// demand. The handle keeps the file readable after it is unlinked, so a
-/// reader that opened a segment sees all of it even if a compaction
-/// removes it meanwhile.
+fn read_file(file: &File, offset: usize, len: usize) -> std::io::Result<Vec<u8>> {
+    let mut buf = vec![0u8; len];
+    file.read_exact_at(&mut buf, offset as u64)?;
+    Ok(buf)
+}
+
+/// Opens `path` with its length; `None` when the file is gone.
+fn open_file(path: &Path) -> Result<Option<(File, u64)>, String> {
+    let read_err = |e| format!("cannot read segment {}: {e}", path.display());
+    let file = match File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(read_err(e)),
+    };
+    let len = file.metadata().map_err(read_err)?.len();
+    Ok(Some((file, len)))
+}
+
+/// The byte span `(offset, len)` of each chunk: every column of the
+/// segment, as [`Segment::open_with`]'s read-ahead list.
+pub(crate) fn every_chunk(meta: &SegmentMeta) -> Vec<(usize, usize)> {
+    meta.chunks.iter().map(ChunkMeta::span).collect()
+}
+
+impl ChunkMeta {
+    /// `(offset, len)` of the bytes all of the chunk's columns lie in. An
+    /// end past `usize::MAX` saturates, so it fails every bounds check.
+    fn span(&self) -> (usize, usize) {
+        let start = self.cols.iter().map(|c| c.offset).min().unwrap_or(0);
+        let end = self
+            .cols
+            .iter()
+            .map(|c| c.offset.saturating_add(c.len))
+            .fold(start, usize::max);
+        (start, end - start)
+    }
+}
+
+/// An open segment: its parsed footer plus its open file, from which
+/// chunk columns are read (`pread`) and decoded on demand. The handle
+/// keeps the file readable after it is unlinked, so a reader that opened
+/// a segment sees all of it even if a compaction removes it meanwhile.
+/// Open files are bounded by a descriptor budget: a segment opened past
+/// it reads the bytes its reader will need at once and closes the file.
 #[derive(Debug)]
 pub struct Segment {
     source: Source,
@@ -286,39 +408,52 @@ pub struct Segment {
 
 impl Segment {
     pub fn open(path: &Path) -> Result<Segment, String> {
-        Self::open_if_present(path)?
-            .ok_or_else(|| format!("cannot read segment {}: file not found", path.display()))
+        Self::open_if_present(path)?.ok_or_else(|| not_found(path))
     }
 
     /// Like [`Segment::open`], but a missing file is `Ok(None)` instead of
     /// an error: the segment was compacted away after the listing.
     pub fn open_if_present(path: &Path) -> Result<Option<Segment>, String> {
-        Self::open_cached(path, None)
+        Self::open_with(path, None, &DESCRIPTORS, every_chunk)
     }
 
     /// Opens the file at `path`, with its footer from `cached` (the
-    /// store's footer cache) or read from the file.
-    pub(crate) fn open_cached(
+    /// store's footer cache) or read from the file. The segment holds the
+    /// file open if `budget` has a descriptor to spare. Otherwise it reads
+    /// the `(offset, len)` ranges `ahead` names now and closes the file,
+    /// and only bytes inside those ranges can be read from it. Either way
+    /// the segment reads the same bytes after the file is unlinked.
+    pub(crate) fn open_with(
         path: &Path,
         cached: Option<Arc<SegmentMeta>>,
+        budget: &'static FdBudget,
+        ahead: impl FnOnce(&SegmentMeta) -> Vec<(usize, usize)>,
     ) -> Result<Option<Segment>, String> {
-        let read_err = |e| format!("cannot read segment {}: {e}", path.display());
-        let file = match File::open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(read_err(e)),
-        };
-        let file_len = file.metadata().map_err(read_err)?.len();
-        let source = if file_len <= READ_WHOLE_BYTES {
-            let mut bytes = vec![0u8; file_len as usize];
-            file.read_exact_at(&mut bytes, 0).map_err(read_err)?;
-            Source::Bytes(bytes)
-        } else {
-            Source::File(file)
+        let Some((file, file_len)) = open_file(path)? else {
+            return Ok(None);
         };
         let meta = match cached {
             Some(meta) => meta,
-            None => Arc::new(read_footer(path, &source, file_len)?),
+            None => Arc::new(read_footer(path, &file, file_len)?),
+        };
+        let source = match budget.claim() {
+            Some(claim) => Source::File {
+                file,
+                _claim: claim,
+            },
+            None => {
+                let mut ranges = ahead(&meta)
+                    .into_iter()
+                    .filter(|&(_, len)| len > 0)
+                    .map(|(offset, len)| {
+                        check_in_file(path, file_len, offset, len)?;
+                        let bytes = read_file(&file, offset, len).map_err(|e| read_err(path, e))?;
+                        Ok((offset, bytes))
+                    })
+                    .collect::<Result<Vec<_>, String>>()?;
+                ranges.sort_unstable_by_key(|&(offset, _)| offset);
+                Source::Read(ranges)
+            }
         };
         Ok(Some(Segment {
             source,
@@ -329,11 +464,24 @@ impl Segment {
     }
 
     /// Parses only the footer of a segment file — enough for run-key
-    /// dedupe checks without decoding any rows. Beyond a small segment's
-    /// single read, it reads just the header, trailer and footer bytes,
-    /// so a store of many large segments pays footer-sized I/O per file.
+    /// dedupe checks without decoding any rows. It reads just the header,
+    /// trailer and footer bytes, so a store of many segments pays
+    /// footer-sized I/O per file.
     pub fn read_meta(path: &Path) -> Result<SegmentMeta, String> {
-        Self::open(path).map(|seg| Arc::unwrap_or_clone(seg.meta))
+        Self::read_meta_if_present(path)?.ok_or_else(|| not_found(path))
+    }
+
+    /// Like [`Segment::read_meta`], but a missing file is `Ok(None)`.
+    pub(crate) fn read_meta_if_present(path: &Path) -> Result<Option<SegmentMeta>, String> {
+        match open_file(path)? {
+            Some((file, len)) => read_footer(path, &file, len).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn holds_file(&self) -> bool {
+        matches!(self.source, Source::File { .. })
     }
 
     /// Decodes every row of the segment, in chunk/row order.
@@ -352,27 +500,17 @@ impl Segment {
 
     /// Reads `len` bytes at `offset`, after checking the range lies in
     /// the file, so a corrupt footer can never size an allocation.
-    fn read_range(&self, offset: usize, len: usize) -> Result<Vec<u8>, String> {
-        offset
-            .checked_add(len)
-            .filter(|&end| end as u64 <= self.file_len)
-            .ok_or_else(|| {
-                format!(
-                    "corrupt segment {}: chunk byte range out of file bounds",
-                    self.path.display()
-                )
-            })?;
-        let mut buf = vec![0u8; len];
+    fn read_range(&self, offset: usize, len: usize) -> Result<Cow<'_, [u8]>, String> {
+        check_in_file(&self.path, self.file_len, offset, len)?;
         self.source
-            .read_exact_at(&mut buf, offset as u64)
-            .map_err(|e| format!("cannot read segment {}: {e}", self.path.display()))?;
-        Ok(buf)
+            .read(offset, len)
+            .map_err(|e| read_err(&self.path, e))
     }
 
     /// Raw bytes of column `col_idx` in chunk `chunk_idx`.
     pub fn chunk_col_bytes(&self, chunk_idx: usize, col_idx: usize) -> Result<Vec<u8>, String> {
         let col = &self.meta.chunks[chunk_idx].cols[col_idx];
-        self.read_range(col.offset, col.len)
+        self.read_range(col.offset, col.len).map(Cow::into_owned)
     }
 
     /// Decodes column `col_idx` of chunk `chunk_idx`.
@@ -381,7 +519,8 @@ impl Segment {
         chunk_idx: usize,
         col_idx: usize,
     ) -> Result<ColumnData, String> {
-        let bytes = self.chunk_col_bytes(chunk_idx, col_idx)?;
+        let meta = &self.meta.chunks[chunk_idx].cols[col_idx];
+        let bytes = self.read_range(meta.offset, meta.len)?;
         let mut col = ColumnData::empty(COLUMNS[col_idx].1);
         self.decode_checked(chunk_idx, col_idx, &bytes, &mut col)?;
         Ok(col)
@@ -405,18 +544,8 @@ impl Segment {
         cols: &mut [ColumnData],
     ) -> Result<(), String> {
         let metas = &self.meta.chunks[chunk_idx].cols;
-        let start = metas.iter().map(|c| c.offset).min().unwrap_or(0);
-        let end = metas
-            .iter()
-            .map(|c| c.offset.checked_add(c.len))
-            .try_fold(start, |end, e| e.map(|e| end.max(e)))
-            .ok_or_else(|| {
-                format!(
-                    "corrupt segment {}: chunk byte range out of file bounds",
-                    self.path.display()
-                )
-            })?;
-        let span = self.read_range(start, end - start)?;
+        let (start, len) = self.meta.chunks[chunk_idx].span();
+        let span = self.read_range(start, len)?;
         for (col_idx, (meta, col)) in metas.iter().zip(cols).enumerate() {
             let at = meta.offset - start;
             self.decode_checked(chunk_idx, col_idx, &span[at..at + meta.len], col)?;
@@ -448,22 +577,43 @@ impl Segment {
     }
 }
 
-/// Reads and parses the footer of the segment at `path`, whose `len`
-/// bytes `source` holds: header magic, trailer, then the footer body.
-fn read_footer(path: &Path, source: &Source, len: u64) -> Result<SegmentMeta, String> {
-    let read_err = |e| format!("cannot read segment {}: {e}", path.display());
+fn not_found(path: &Path) -> String {
+    format!("cannot read segment {}: file not found", path.display())
+}
+
+fn read_err(path: &Path, e: std::io::Error) -> String {
+    format!("cannot read segment {}: {e}", path.display())
+}
+
+/// Checks that `offset..offset + len` lies in a file of `file_len` bytes.
+fn check_in_file(path: &Path, file_len: u64, offset: usize, len: usize) -> Result<(), String> {
+    offset
+        .checked_add(len)
+        .filter(|&end| end as u64 <= file_len)
+        .map(|_| ())
+        .ok_or_else(|| {
+            format!(
+                "corrupt segment {}: chunk byte range out of file bounds",
+                path.display()
+            )
+        })
+}
+
+/// Reads and parses the footer of the `len`-byte segment `file` at
+/// `path`: header magic, trailer, then the footer body.
+fn read_footer(path: &Path, file: &File, len: u64) -> Result<SegmentMeta, String> {
+    let read_err = |e| read_err(path, e);
     let corrupt = |msg: &str| format!("corrupt segment {}: {msg}", path.display());
     if len < (MAGIC_HEAD.len() + 8 + MAGIC_TAIL.len()) as u64 {
         return Err(corrupt("file shorter than magic + footer trailer"));
     }
     let mut head = [0u8; 4];
-    source.read_exact_at(&mut head, 0).map_err(read_err)?;
+    file.read_exact_at(&mut head, 0).map_err(read_err)?;
     if &head != MAGIC_HEAD {
         return Err(corrupt("bad header magic (not an hsc segment)"));
     }
     let mut trailer = [0u8; 12];
-    source
-        .read_exact_at(&mut trailer, len - 12)
+    file.read_exact_at(&mut trailer, len - 12)
         .map_err(read_err)?;
     if &trailer[8..] != MAGIC_TAIL {
         return Err(corrupt("bad trailing magic (truncated write?)"));
@@ -473,8 +623,7 @@ fn read_footer(path: &Path, source: &Source, len: u64) -> Result<SegmentMeta, St
         .checked_sub(footer_len)
         .ok_or_else(|| corrupt("footer length exceeds file size"))?;
     let mut footer = vec![0u8; footer_len as usize];
-    source
-        .read_exact_at(&mut footer, footer_start)
+    file.read_exact_at(&mut footer, footer_start)
         .map_err(read_err)?;
     parse_footer_body(&footer).map_err(|e| corrupt(&e))
 }
@@ -653,19 +802,97 @@ mod tests {
     }
 
     #[test]
-    fn small_segments_are_read_whole_and_large_ones_stay_open() {
-        let small = write_tmp(&encode_segment(&sample_rows(10), &[]));
-        let seg = Segment::open(&small).unwrap();
-        assert!(matches!(seg.source, Source::Bytes(_)));
-        std::fs::remove_dir_all(small.parent().unwrap()).ok();
-        // Still readable in full after the file is gone.
-        assert_eq!(seg.rows().unwrap().len(), 10);
+    fn segments_past_the_descriptor_budget_read_ahead_and_close_their_file() {
+        static ONE: FdBudget = FdBudget::new(|| 1);
+        let rows = sample_rows(CHUNK_ROWS + 10);
+        let path = write_tmp(&encode_segment(&rows, &[]));
+        let open = || {
+            Segment::open_with(&path, None, &ONE, every_chunk)
+                .unwrap()
+                .unwrap()
+        };
+        let held = open();
+        let read = open();
+        assert!(held.holds_file() && !read.holds_file());
+        assert_eq!(ONE.held(), 1);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+        // Both still read every row after the file is gone.
+        for seg in [&held, &read] {
+            let back = seg.rows().unwrap();
+            assert_eq!(back.len(), rows.len());
+            assert_eq!(back[CHUNK_ROWS + 9].t, rows[CHUNK_ROWS + 9].t);
+        }
+        drop(held);
+        assert_eq!(ONE.held(), 0, "closing the file returns its descriptor");
 
-        let large = write_tmp(&encode_segment(&sample_rows(5_000), &[]));
-        let seg = Segment::open(&large).unwrap();
-        assert!(matches!(seg.source, Source::File(_)));
-        std::fs::remove_dir_all(large.parent().unwrap()).ok();
-        assert_eq!(seg.rows().unwrap().len(), 5_000);
+        // A read-ahead segment reads only the ranges it was asked for.
+        let path = write_tmp(&encode_segment(&rows[..50], &[]));
+        let _held = Segment::open_with(&path, None, &ONE, every_chunk)
+            .unwrap()
+            .unwrap();
+        let seg = Segment::open_with(&path, None, &ONE, |meta| {
+            let col = &meta.chunks[0].cols[14];
+            vec![(col.offset, col.len)]
+        })
+        .unwrap()
+        .unwrap();
+        assert_eq!(
+            seg.read_chunk_column(0, 14).unwrap().value(3),
+            Value::F64(1.5)
+        );
+        let err = seg.read_chunk_column(0, 15).unwrap_err();
+        assert!(
+            err.contains("not read when the segment was opened"),
+            "{err}"
+        );
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn footer_reads_hold_no_descriptor_and_miss_cleanly() {
+        let path = write_tmp(&encode_segment(&sample_rows(20), &[]));
+        let meta = Segment::read_meta(&path).unwrap();
+        assert_eq!(meta.total_rows, 20);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+        assert!(Segment::read_meta_if_present(&path).unwrap().is_none());
+        assert!(Segment::read_meta(&path).unwrap_err().contains("not found"));
+    }
+
+    #[test]
+    fn an_output_chunk_memoizes_only_its_source_chunks_dictionaries() {
+        // Every string column holds one distinct entry per row, as if
+        // decoded from three chunks of unique strings.
+        let n = 2 * CHUNK_ROWS + 10;
+        let cells: Vec<ColumnData> = COLUMNS
+            .iter()
+            .map(|&(_, ty)| match ty {
+                ColumnType::Str => ColumnData::Str(crate::column::StrColumn {
+                    dict: (0..n).map(|i| i.to_string()).collect(),
+                    ids: (0..n as u32).collect(),
+                }),
+                ty => {
+                    let mut col = ColumnData::empty(ty);
+                    match &mut col {
+                        ColumnData::U64(v) => v.resize(n, 0),
+                        ColumnData::I64(v) => v.resize(n, 0),
+                        ColumnData::F64(v) => v.resize(n, 0.0),
+                        ColumnData::Str(_) => unreachable!(),
+                    }
+                    col
+                }
+            })
+            .collect();
+        let mut chunk: Vec<ChunkCol> = COLUMNS.iter().map(|&(_, ty)| ChunkCol::new(ty)).collect();
+        cells
+            .as_slice()
+            .fill(CHUNK_ROWS..2 * CHUNK_ROWS, &mut chunk);
+        for col in &chunk {
+            if let ChunkCol::Str(dict, ids) = col {
+                assert_eq!(dict.memo_len(), CHUNK_ROWS, "not the whole {n}-slot source");
+                assert_eq!(dict.entries()[0], CHUNK_ROWS.to_string());
+                assert_eq!(ids[..3], [0, 1, 2]);
+            }
+        }
     }
 
     #[test]

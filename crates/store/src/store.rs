@@ -24,7 +24,10 @@ use std::sync::{Arc, Mutex};
 
 use crate::column::ColumnData;
 use crate::schema::{Row, COLUMNS};
-use crate::segment::{encode_cells, encode_segment, Segment, SegmentMeta, CHUNK_ROWS};
+use crate::segment::{
+    encode_cells, encode_segment, every_chunk, FdBudget, Segment, SegmentMeta, CHUNK_ROWS,
+    DESCRIPTORS,
+};
 
 /// 64-bit FNV-1a — the store's only hash. Used for segment names and for
 /// config hashes (see [`crate::ingest::config_hash`]).
@@ -98,8 +101,9 @@ impl Store {
     /// Opens every segment, footers via the handle's cache. A segment
     /// that vanishes before it is opened (a concurrent compaction removed
     /// it after writing its replacement) is skipped, not an error; one
-    /// that vanishes later stays readable through its open handle, so the
-    /// returned set is a snapshot that no compaction can tear.
+    /// that vanishes later stays readable through its handle, so the
+    /// returned set is a snapshot that no compaction can tear. Segments
+    /// past the process's descriptor budget are read whole and closed.
     pub fn segments(&self) -> Result<Vec<Segment>, String> {
         let paths = self
             .segment_paths()
@@ -113,13 +117,25 @@ impl Store {
         Ok(segments)
     }
 
-    /// Opens the segment at `path`, taking its footer from the cache or
-    /// reading it from the file. `None` when the file is gone.
+    /// Opens the segment at `path` under the process's descriptor
+    /// budget, every chunk readable. `None` when the file is gone.
     pub(crate) fn open_segment(&self, path: &Path) -> Result<Option<Segment>, String> {
+        self.open_segment_with(path, &DESCRIPTORS, every_chunk)
+    }
+
+    /// Opens the segment at `path` as [`Segment::open_with`] does, taking
+    /// its footer from the cache or reading it from the file (and caching
+    /// it). `None` when the file is gone.
+    pub(crate) fn open_segment_with(
+        &self,
+        path: &Path,
+        budget: &'static FdBudget,
+        ahead: impl FnOnce(&SegmentMeta) -> Vec<(usize, usize)>,
+    ) -> Result<Option<Segment>, String> {
         let name = segment_name(path)?;
         let cached = self.cache_lock().get(name).cloned();
         let fresh = cached.is_none();
-        let seg = Segment::open_cached(path, cached)?;
+        let seg = Segment::open_with(path, cached, budget, ahead)?;
         if let Some(seg) = seg.as_ref().filter(|_| fresh) {
             self.cache_lock()
                 .insert(name.to_string(), Arc::clone(&seg.meta));
@@ -128,12 +144,20 @@ impl Store {
     }
 
     /// The parsed footer of the segment at `path`, via the handle's
-    /// footer cache. `None` when the file is gone (compacted away).
+    /// footer cache; a miss reads only the footer. `None` when the file
+    /// is gone (compacted away).
     pub fn segment_meta(&self, path: &Path) -> Result<Option<Arc<SegmentMeta>>, String> {
-        if let Some(meta) = self.cache_lock().get(segment_name(path)?) {
+        let name = segment_name(path)?;
+        if let Some(meta) = self.cache_lock().get(name) {
             return Ok(Some(Arc::clone(meta)));
         }
-        Ok(self.open_segment(path)?.map(|seg| seg.meta))
+        let Some(meta) = Segment::read_meta_if_present(path)? else {
+            return Ok(None);
+        };
+        let meta = Arc::new(meta);
+        self.cache_lock()
+            .insert(name.to_string(), Arc::clone(&meta));
+        Ok(Some(meta))
     }
 
     /// The footer cache never holds partial state across a panic (inserts
